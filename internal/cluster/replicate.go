@@ -3,8 +3,9 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
+	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,38 +14,43 @@ import (
 )
 
 // Replicator pulls price snapshots from a leader node and applies them
-// locally: pull-based chain replication with at-most-one in-flight
-// pull, the simplest protocol that keeps every follower within one
-// interval of the leader without a consensus dependency. Followers can
-// themselves serve GET /cluster/snapshot from their applied copy, so a
-// large cluster can fan the pulls out in a tree instead of thundering
-// the leader.
+// locally: pull-based chain replication with exactly one pull in flight,
+// the simplest protocol that keeps every follower current without a
+// consensus dependency. Each pull is a long poll: the source holds it
+// until it publishes a snapshot newer than the one the follower has, so
+// a new price reaches a follower one round trip after it is published.
+// Followers can themselves serve GET /cluster/snapshot from their
+// applied copy, so a large cluster can fan the pulls out in a tree
+// instead of thundering the leader.
 type Replicator struct {
 	leader   string // base URL of the node to pull from
 	client   *http.Client
 	apply    func(PriceSnapshot) error
 	interval time.Duration
-	jitter   float64 // early-only pull stagger, set before Start
 
-	lastTaken  atomic.Int64 // TakenUnixNano of the newest applied snapshot
-	failStreak atomic.Int32 // consecutive failed pulls (tree fallback trigger)
+	lastTaken     atomic.Int64 // TakenUnixNano of the newest applied snapshot
+	lastConfirmed atomic.Int64 // UnixNano of the last 200 or 304 from a source
+	failStreak    atomic.Int32 // consecutive failed pulls (tree fallback trigger)
 
 	mu       sync.Mutex
 	source   func() (string, bool) // guarded by mu: optional tree-parent resolver
-	stop     chan struct{}         // guarded by mu: non-nil while running
+	cancel   context.CancelFunc    // guarded by mu: non-nil while running
 	wg       sync.WaitGroup
 	pulls    *obs.Counter // optional, set by Instrument before Start
 	failures *obs.Counter
 }
 
-// DefaultJitter is the pull-stagger fraction: each wait is shortened by
-// up to half an interval, so a fleet of followers started together
-// spreads its pulls across the cadence instead of thundering the source
-// every tick.
-const DefaultJitter = 0.5
+// MaxPollWait caps how long a source holds one snapshot long poll,
+// whatever wait the follower asks for.
+const MaxPollWait = 30 * time.Second
 
-// NewReplicator builds a replicator pulling from leaderURL every
-// interval (default 1s), applying each newer snapshot via apply.
+// pullTimeout bounds a pull beyond the time the source may hold it.
+const pullTimeout = 10 * time.Second
+
+// NewReplicator builds a replicator pulling from leaderURL and applying
+// each newer snapshot via apply. interval (default 1s) bounds the time
+// between confirmations: it is the longest the source holds a pull, and
+// the wait before retrying a failed one.
 func NewReplicator(leaderURL string, interval time.Duration, apply func(PriceSnapshot) error) (*Replicator, error) {
 	if leaderURL == "" || apply == nil {
 		return nil, fmt.Errorf("%w: replicator needs a leader URL and an apply func", ErrBadConfig)
@@ -54,24 +60,10 @@ func NewReplicator(leaderURL string, interval time.Duration, apply func(PriceSna
 	}
 	return &Replicator{
 		leader:   leaderURL,
-		client:   &http.Client{Timeout: 10 * time.Second},
+		client:   &http.Client{},
 		apply:    apply,
 		interval: interval,
-		jitter:   DefaultJitter,
 	}, nil
-}
-
-// SetJitter sets the pull-stagger fraction in [0, 1): each inter-pull
-// wait becomes interval × (1 − jitter × U) for uniform U in [0, 1).
-// Jitter is EARLY-only — a wait is never longer than the interval — so
-// the one-interval staleness contract survives any jitter setting.
-// Call before Start.
-func (r *Replicator) SetJitter(f float64) error {
-	if f < 0 || f >= 1 {
-		return fmt.Errorf("%w: jitter %v out of range [0, 1)", ErrBadConfig, f)
-	}
-	r.jitter = f
-	return nil
 }
 
 // SetSource installs a resolver for the URL to pull from — the
@@ -107,16 +99,6 @@ func (r *Replicator) pullURL() string {
 	return r.leader
 }
 
-// jitteredDelay returns the next inter-pull wait: the interval shortened
-// by up to jitter of itself, never lengthened.
-func (r *Replicator) jitteredDelay() time.Duration {
-	if r.jitter == 0 {
-		return r.interval
-	}
-	scale := 1 - r.jitter*rand.Float64()
-	return time.Duration(float64(r.interval) * scale)
-}
-
 // Instrument registers pull counters and the staleness gauge on reg.
 func (r *Replicator) Instrument(reg *obs.Registry) {
 	r.mu.Lock()
@@ -124,115 +106,133 @@ func (r *Replicator) Instrument(reg *obs.Registry) {
 	r.failures = reg.Counter("cluster_replication_failures_total", "snapshot pulls failed", nil)
 	r.mu.Unlock()
 	reg.GaugeFunc("cluster_replication_staleness_seconds",
-		"age of the newest applied price snapshot (-1 before the first)", nil,
+		"time since a source last confirmed the applied price snapshot (-1 before the first)", nil,
 		func() float64 { return r.StalenessSeconds() })
 }
 
-// StalenessSeconds returns the age of the newest applied snapshot, or
-// -1 if none has been applied yet.
+// StalenessSeconds returns the time since a source last confirmed the
+// applied snapshot — answered a pull with it or a newer one (200), or
+// with "not modified" (304) — or -1 if none has been applied yet. A
+// healthy follower stays within one interval plus a round trip.
 func (r *Replicator) StalenessSeconds() float64 {
-	t := r.lastTaken.Load()
-	if t == 0 {
+	if r.lastTaken.Load() == 0 {
 		return -1
 	}
-	return time.Since(time.Unix(0, t)).Seconds()
+	return time.Since(time.Unix(0, r.lastConfirmed.Load())).Seconds()
 }
 
-// PullOnce fetches the leader's snapshot and applies it if newer than
-// the last applied one (replays and reorderings are no-ops).
+// PullOnce fetches a snapshot from the source and applies it if newer
+// than the last applied one (replays and reorderings are no-ops). The
+// source may hold the pull for up to one interval waiting for a newer
+// snapshot.
 func (r *Replicator) PullOnce(ctx context.Context) error {
+	_, err := r.pull(ctx)
+	return err
+}
+
+// pull is PullOnce that also reports whether the pull should be
+// followed at once by the next: true after a newer snapshot or a 304,
+// false after an error or a snapshot that is not newer (a source that
+// ignores the long-poll query answers those at once).
+func (r *Replicator) pull(ctx context.Context) (again bool, err error) {
 	r.mu.Lock()
 	pulls, failures := r.pulls, r.failures
 	r.mu.Unlock()
 	if pulls != nil {
 		pulls.Inc()
 	}
-	err := r.pullOnce(ctx)
-	if err != nil && failures != nil {
-		failures.Inc()
+	again, err = r.pullFrom(ctx, r.pullURL())
+	if err != nil && ctx.Err() != nil {
+		return false, err // cancelled by the caller (Stop): not a source failure
 	}
-	return err
-}
-
-func (r *Replicator) pullOnce(ctx context.Context) error {
-	err := r.pullFrom(ctx, r.pullURL())
 	if err != nil {
 		r.failStreak.Add(1)
-	} else {
-		r.failStreak.Store(0)
+		if failures != nil {
+			failures.Inc()
+		}
+		return false, err
 	}
-	return err
+	r.failStreak.Store(0)
+	r.lastConfirmed.Store(time.Now().UnixNano())
+	return again, nil
 }
 
-func (r *Replicator) pullFrom(ctx context.Context, base string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/cluster/snapshot", nil)
+func (r *Replicator) pullFrom(ctx context.Context, base string) (bool, error) {
+	wait := min(r.interval, MaxPollWait)
+	ctx, cancel := context.WithTimeout(ctx, wait+pullTimeout)
+	defer cancel()
+	after := r.lastTaken.Load()
+	url := base + "/cluster/snapshot?after=" + strconv.FormatInt(after, 10) + "&wait=" + wait.String()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return err
+		return false, err
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return fmt.Errorf("pull snapshot: %w", err)
+		return false, fmt.Errorf("pull snapshot: %w", err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("pull snapshot: status %d", resp.StatusCode)
+	switch resp.StatusCode {
+	case http.StatusNotModified:
+		return true, nil
+	case http.StatusOK:
+	default:
+		_, _ = io.Copy(io.Discard, resp.Body) // drain so the connection is reused
+		return false, fmt.Errorf("pull snapshot: status %d", resp.StatusCode)
 	}
 	snap, err := DecodeSnapshot(resp.Body)
 	if err != nil {
-		return err
+		return false, err
 	}
-	if snap.TakenUnixNano <= r.lastTaken.Load() {
-		return nil // already have this one (or newer)
+	if snap.TakenUnixNano <= after {
+		return false, nil // already have this one (or newer)
 	}
 	if err := r.apply(snap); err != nil {
-		return fmt.Errorf("apply snapshot: %w", err)
+		return false, fmt.Errorf("apply snapshot: %w", err)
 	}
 	r.lastTaken.Store(snap.TakenUnixNano)
-	return nil
+	return true, nil
 }
 
-// Start launches the pull loop: one immediate pull, then one per
-// jittered interval (each wait is interval shortened by up to the
-// jitter fraction, never lengthened, so followers de-synchronize
-// without ever exceeding one interval between pulls). Errors are
+// Start launches the pull loop, which keeps one pull in flight: it
+// pulls again at once after a newer snapshot or a 304, and one interval
+// later after an error or a snapshot that is not newer, so a source
+// that does not hold pulls is never polled in a hot loop. Errors are
 // counted, not fatal: replication is best-effort between period closes
 // and the staleness gauge is the alarm.
 func (r *Replicator) Start() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.stop != nil {
+	if r.cancel != nil {
 		return // already running
 	}
-	stop := make(chan struct{})
-	r.stop = stop
+	ctx, cancel := context.WithCancel(context.Background())
+	r.cancel = cancel
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		timer := time.NewTimer(r.jitteredDelay())
-		defer timer.Stop()
-		ctx := context.Background()
-		_ = r.PullOnce(ctx)
-		for {
+		for ctx.Err() == nil {
+			if again, _ := r.pull(ctx); again {
+				continue
+			}
 			select {
-			case <-stop:
-				return
-			case <-timer.C:
-				_ = r.PullOnce(ctx)
-				timer.Reset(r.jitteredDelay())
+			case <-ctx.Done():
+			case <-time.After(r.interval):
 			}
 		}
 	}()
 }
 
-// Stop halts the pull loop and waits for it to exit.
+// Stop halts the pull loop, cancelling a held pull, and waits for it to
+// exit.
 func (r *Replicator) Stop() {
 	r.mu.Lock()
-	stop := r.stop
-	r.stop = nil
+	cancel := r.cancel
+	r.cancel = nil
 	r.mu.Unlock()
-	if stop == nil {
+	if cancel == nil {
 		return
 	}
-	close(stop)
+	cancel()
 	r.wg.Wait()
 }

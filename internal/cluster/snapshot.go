@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"time"
 
 	"tdp/internal/rrd"
 )
@@ -25,26 +24,28 @@ const snapshotVersion = 1
 // from their copy, so the whole cluster publishes one schedule while
 // only one node solves for it.
 type PriceSnapshot struct {
-	Format  int `json:"format"` // serialization version (snapshotVersion)
-	Period  int `json:"period"` // period index in progress at the leader
+	Format  int       `json:"format"` // serialization version (snapshotVersion)
+	Period  int       `json:"period"` // period index in progress at the leader
 	Rewards []float64 `json:"rewards"`
 	// RingVersion is the leader's ring view when the snapshot was cut —
 	// a follower on a newer ring knows the schedule predates the move.
 	RingVersion uint64 `json:"ringVersion,omitempty"`
-	// TakenUnixNano timestamps the cut; replication staleness (healthz,
-	// metrics) is measured against it.
+	// TakenUnixNano is when the leader published the record the snapshot
+	// was cut from. It orders snapshots, and a follower sends back the
+	// newest one it holds as the `after` of its next long-poll pull.
 	TakenUnixNano int64 `json:"takenUnixNano"`
 }
 
-// NewPriceSnapshot stamps a snapshot of the current price plane: the
-// period in progress, its reward schedule, and the leader's ring view.
-func NewPriceSnapshot(period int, rewards []float64, ringVersion uint64) PriceSnapshot {
+// NewPriceSnapshot cuts the snapshot of one published price record: the
+// period in progress, its reward schedule, the leader's ring view, and
+// the time the record was published.
+func NewPriceSnapshot(period int, rewards []float64, ringVersion uint64, takenUnixNano int64) PriceSnapshot {
 	return PriceSnapshot{
 		Format:        snapshotVersion,
 		Period:        period,
 		Rewards:       append([]float64(nil), rewards...),
 		RingVersion:   ringVersion,
-		TakenUnixNano: time.Now().UnixNano(),
+		TakenUnixNano: takenUnixNano,
 	}
 }
 

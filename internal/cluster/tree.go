@@ -1,13 +1,14 @@
 // Replication fan-out tree: who pulls price snapshots from whom.
 //
-// With N followers all pulling from the leader, the leader serves N
-// snapshot requests per interval — fine at 3 nodes, a thundering herd
-// at 3000. Followers already re-serve GET /cluster/snapshot from their
-// applied copy (see Replicator), so the pulls can fan out as a tree:
-// the leader feeds `fanout` followers, each of those feeds `fanout`
-// more, and the leader's load drops from O(N) to O(fanout) while depth
-// — and therefore worst-case staleness — grows only as log_fanout(N)
-// intervals.
+// With N followers all pulling from the leader, the leader holds N
+// snapshot polls and answers all N at every period close — fine at 3
+// nodes, a thundering herd at 3000. Followers already re-serve
+// GET /cluster/snapshot from their applied copy (see Replicator), so
+// the pulls can fan out as a tree: the leader feeds `fanout` followers,
+// each of those feeds `fanout` more, and the leader's load drops from
+// O(N) to O(fanout) while depth — and therefore the time a new price
+// takes to reach the last follower — grows only as log_fanout(N) round
+// trips.
 //
 // The tree is DERIVED, not coordinated: every node computes its own
 // parent from the current ring membership with TreeParent, so there is

@@ -195,65 +195,3 @@ func TestReplicatorTreeSourceAndFallback(t *testing.T) {
 		t.Fatalf("recovered parent served %d pulls, want 2", parentPulls.Load())
 	}
 }
-
-// TestReplicatorJitterBounds pins the staleness contract: every
-// jittered delay is in (interval×(1−jitter), interval] — early only,
-// never late — and the delays actually spread (no thundering herd).
-func TestReplicatorJitterBounds(t *testing.T) {
-	rep, err := NewReplicator("http://leader", time.Second, func(PriceSnapshot) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.SetJitter(0.5); err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := time.Second, time.Duration(0)
-	for i := 0; i < 1000; i++ {
-		d := rep.jitteredDelay()
-		if d > time.Second {
-			t.Fatalf("jittered delay %v exceeds the interval — staleness contract broken", d)
-		}
-		if d <= 500*time.Millisecond {
-			t.Fatalf("jittered delay %v below interval×(1−jitter)", d)
-		}
-		if d < lo {
-			lo = d
-		}
-		if d > hi {
-			hi = d
-		}
-	}
-	// 1000 uniform draws over a 500ms window: the observed range covers
-	// most of it with overwhelming probability.
-	if spread := hi - lo; spread < 250*time.Millisecond {
-		t.Fatalf("1000 jittered delays spread only %v — pulls would still herd", spread)
-	}
-}
-
-func TestReplicatorJitterDisabled(t *testing.T) {
-	rep, err := NewReplicator("http://leader", time.Second, func(PriceSnapshot) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.SetJitter(0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if d := rep.jitteredDelay(); d != time.Second {
-			t.Fatalf("jitter 0 produced delay %v, want exactly the interval", d)
-		}
-	}
-}
-
-func TestSetJitterValidation(t *testing.T) {
-	rep, err := NewReplicator("http://leader", time.Second, func(PriceSnapshot) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.SetJitter(-0.1); err == nil {
-		t.Fatal("negative jitter accepted")
-	}
-	if err := rep.SetJitter(1); err == nil {
-		t.Fatal("jitter 1 accepted (a full-interval stagger can collapse two pulls)")
-	}
-}

@@ -48,7 +48,7 @@ func TestStreamResidMatchesNetFlows(t *testing.T) {
 	// bit-keyed pow cache must invalidate between calls.
 	points := [][]float64{
 		{0.5, 0.5, 1, 2, 0.2, 0.8, 1.5, 0.7, 0.9, 0.1, 0, 3},
-		{0.5, 0.5, 1, 2, 0.2, 0.8, 1.5, 0.7, 0.9, 0.1, 0, 3},       // repeat: pure cache hit
+		{0.5, 0.5, 1, 2, 0.2, 0.8, 1.5, 0.7, 0.9, 0.1, 0, 3},      // repeat: pure cache hit
 		{-0.1, 0.5, 1.2, 2, 0.2, 0.8, 1.4, 0.7, 0.9, 0.1, 0.5, 3}, // raw α < 0 clamps
 		{1, 1, 0.3, 0.3, 0.5, 0.5, 2.2, 2.2, 0.33, 0.67, 1.1, 0},
 	}

@@ -43,8 +43,8 @@ type subscriber struct {
 // delta accumulation at all), Subscribe/Unsubscribe swap in a fresh
 // copy under subMu.
 type subscriptions struct {
-	subMu  sync.Mutex                    // serializes Subscribe/Unsubscribe
-	subs   atomic.Pointer[[]subscriber]  // read lock-free by notify
+	subMu  sync.Mutex                   // serializes Subscribe/Unsubscribe
+	subs   atomic.Pointer[[]subscriber] // read lock-free by notify
 	nextID atomic.Int64
 	pool   sync.Pool // *[]float64 delta buffers, len == len(classes)
 }

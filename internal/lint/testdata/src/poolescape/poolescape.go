@@ -86,8 +86,8 @@ func goArg(sink func(*[]byte)) {
 // borrowNoContract returns the release closure without the marker: the
 // borrow itself stays unreleased here and the capture escapes.
 func borrowNoContract() func() {
-	b := bufPool.Get().(*[]byte)       // want "never returned to the pool"
-	return func() { bufPool.Put(b) }   // want "returns a closure capturing a pooled value"
+	b := bufPool.Get().(*[]byte)     // want "never returned to the pool"
+	return func() { bufPool.Put(b) } // want "returns a closure capturing a pooled value"
 }
 
 // borrow is the PR 6 getScratch idiom done right: annotated accessor

@@ -333,9 +333,9 @@ func TestEvaluateAccountingIdentities(t *testing.T) {
 func TestEvaluateRejectsBadSurfaces(t *testing.T) {
 	scn := testScenario()
 	bad := [][]float64{
-		{0, 0, 0},                       // wrong length
-		{0, 0, 0, 0, 0, -1},             // negative
-		{0, 0, 0, 0, 0, math.NaN()},     // NaN
+		{0, 0, 0},                             // wrong length
+		{0, 0, 0, 0, 0, -1},                   // negative
+		{0, 0, 0, 0, 0, math.NaN()},           // NaN
 		{0, 0, 0, 0, 0, scn.NormReward() * 2}, // beyond the model's validity
 	}
 	for i, p := range bad {

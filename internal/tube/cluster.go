@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +35,11 @@ type ClusterOptions struct {
 	// GET /price from the replicated schedule. Empty means this node is
 	// the leader (it runs the optimizer control loop and cuts snapshots).
 	LeaderURL string
-	// ReplicateEvery is the follower pull interval (default 1s).
+	// ReplicateEvery bounds the time between a follower's confirmations
+	// (default 1s): each pull is a long poll that the source holds for at
+	// most this long before answering "not modified", and a failed pull
+	// is retried after this long. A new price arrives as soon as it is
+	// published, not on this cadence.
 	ReplicateEvery time.Duration
 	// ReplicateFanout, when > 0, arranges followers in a fan-out tree of
 	// this arity: each follower pulls snapshots from its tree parent
@@ -53,8 +58,8 @@ type clusterState struct {
 	tab     *wire.ClassTable
 	decPool sync.Pool // *wire.Decoder
 	queue   *cluster.ShedQueue
-	rep     *cluster.Replicator                  // non-nil on followers
-	snap    atomic.Pointer[cluster.PriceSnapshot] // follower's applied snapshot
+	rep     *cluster.Replicator // non-nil on followers
+	replica *board              // non-nil on followers: the applied snapshots
 
 	wireReports  *obs.Counter
 	wireRejected *obs.Counter
@@ -119,8 +124,15 @@ func (s *Server) EnableCluster(opts ClusterOptions) error {
 		return cl.ring.Load().Owns(cl.selfID, user)
 	})
 	if opts.LeaderURL != "" {
+		cl.replica = newBoard()
 		rep, err := cluster.NewReplicator(opts.LeaderURL, opts.ReplicateEvery, func(snap cluster.PriceSnapshot) error {
-			cl.snap.Store(&snap)
+			// The follower re-serves the leader's snapshot as received,
+			// ring version included, so it is cut before anyone can see it.
+			p := newPublication(snap.Period, snap.Rewards, snap.TakenUnixNano)
+			if _, err := p.snapshot(snap.RingVersion); err != nil {
+				return err
+			}
+			cl.replica.publish(p)
 			return nil
 		})
 		if err != nil {
@@ -198,9 +210,11 @@ func (s *Server) ShedReports() int64 {
 	return n
 }
 
-// closeCluster stops the replication loop and drains the apply queue so
-// every acked batch is accounted before shutdown returns.
+// closeCluster releases held snapshot polls, stops the replication loop
+// and drains the apply queue so every acked batch is accounted before
+// shutdown returns.
 func (s *Server) closeCluster(ctx context.Context) error {
+	s.wake()
 	cl := s.cl
 	if cl == nil {
 		return nil
@@ -335,38 +349,65 @@ func (s *Server) handleRingPut(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleSnapshot serves GET /cluster/snapshot[?after=<ns>&wait=<dur>].
+// Without after it answers at once with the newest snapshot. With after
+// it is a long poll: it answers as soon as a snapshot newer than after
+// is published, or 304 Not Modified once wait (capped at
+// cluster.MaxPollWait) elapses, the client leaves, or the server shuts
+// down with nothing newer. A leader serves its optimizer's record, a
+// follower its applied copy, so pulls can fan out in a tree instead of
+// thundering the leader; either way the body is cut once per record.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	cl := s.cl
-	if cl.leader {
-		snap := cluster.NewPriceSnapshot(s.opt.Period(), s.opt.Schedule(), cl.ring.Load().Version())
-		writeJSON(w, http.StatusOK, snap)
+	prices := s.prices()
+	p := prices.load()
+	if a := r.URL.Query().Get("after"); a != "" {
+		after, err := strconv.ParseInt(a, 10, 64)
+		if err != nil {
+			http.Error(w, "bad after: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		wait, err := time.ParseDuration(r.URL.Query().Get("wait"))
+		if err != nil || wait < 0 {
+			http.Error(w, "bad wait", http.StatusBadRequest)
+			return
+		}
+		p = prices.await(r.Context(), after, min(wait, cluster.MaxPollWait), s.done)
+		if p.ready() && p.taken <= after {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+	}
+	if !p.ready() {
+		http.Error(w, "no snapshot replicated yet", http.StatusServiceUnavailable)
 		return
 	}
-	// Followers re-serve their applied copy, so pulls can fan out in a
-	// tree instead of thundering the leader.
-	if snap := cl.snap.Load(); snap != nil {
-		writeJSON(w, http.StatusOK, *snap)
+	body, err := p.snapshot(s.cl.ring.Load().Version())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	http.Error(w, "no snapshot replicated yet", http.StatusServiceUnavailable)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body)
 }
 
-// replicatedPrice returns the follower's price view, or false when this
-// node serves prices from its own optimizer (leader or non-clustered).
-func (s *Server) replicatedPrice() (PriceInfo, bool, error) {
-	cl := s.cl
-	if cl == nil || cl.leader {
-		return PriceInfo{}, false, nil
+// prices returns the board this node serves prices from: the applied
+// snapshots on a cluster follower, the optimizer's own publications on
+// a leader or a standalone server.
+func (s *Server) prices() *board {
+	if s.cl != nil && s.cl.replica != nil {
+		return s.cl.replica
 	}
-	snap := cl.snap.Load()
-	if snap == nil {
-		return PriceInfo{}, true, fmt.Errorf("price replica not yet synchronized: %w", ErrNotReady)
+	return s.opt.pub
+}
+
+// currentPrice returns the price this node serves, or an error wrapping
+// ErrNotReady on a follower that has not replicated a snapshot yet.
+func (s *Server) currentPrice() (PriceInfo, error) {
+	p := s.prices().load()
+	if !p.ready() {
+		return PriceInfo{}, fmt.Errorf("price replica not yet synchronized: %w", ErrNotReady)
 	}
-	return PriceInfo{
-		Period:  snap.Period,
-		Reward:  snap.Rewards[snap.Period%len(snap.Rewards)],
-		Rewards: snap.Rewards,
-	}, true, nil
+	return p.priceInfo(), nil
 }
 
 // ClusterHealth is the cluster section of the /healthz payload.
@@ -377,8 +418,9 @@ type ClusterHealth struct {
 	Members       int             `json:"members"`
 	OwnedFraction float64         `json:"ownedFraction"`
 	OwnedRanges   []cluster.Range `json:"ownedRanges"`
-	// ReplicationStalenessSeconds is the age of the applied price
-	// snapshot (-1 before the first); absent on the leader.
+	// ReplicationStalenessSeconds is the time since the follower last
+	// confirmed its price snapshot with its source (-1 before the first
+	// snapshot); absent on the leader.
 	ReplicationStalenessSeconds *float64 `json:"replicationStalenessSeconds,omitempty"`
 	QueuedBatches               int      `json:"queuedBatches"`
 	ShedReports                 int64    `json:"shedReports"`
@@ -391,8 +433,8 @@ type Health struct {
 	Cluster *ClusterHealth `json:"cluster,omitempty"`
 }
 
-// replicaStalenessLimit is how stale a follower's price snapshot may be
-// before /healthz degrades the node.
+// replicaStalenessLimit is how long a follower may go without its source
+// confirming its price snapshot before /healthz degrades the node.
 const replicaStalenessLimit = 15 * time.Second
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -63,9 +63,12 @@ type Optimizer struct {
 	priceHist *rrd.DB
 	usageHist *rrd.DB
 	billing   *Billing
-	period    int       // guarded by mu
-	rewards   []float64 // guarded by mu: day-shaped published schedule
 	dayUsage  []float64 // guarded by mu: per-period usage totals of the day in progress (mechanism mode only)
+
+	// pub is the published (period, day schedule) record. Only
+	// ClosePeriod replaces it, under mu; readers load it lock-free, so
+	// they never see a torn pair and never wait on a close or a refit.
+	pub *board
 
 	// coldPeriodEvals is a one-shot cold-solve calibration measured at
 	// construction: the 1-D evaluation count of a full-bracket per-period
@@ -159,7 +162,7 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 			return nil, err
 		}
 	}
-	return &Optimizer{
+	o := &Optimizer{
 		cfg:             cfg,
 		meas:            meas,
 		profiler:        profiler,
@@ -168,10 +171,12 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 		priceHist:       priceHist,
 		usageHist:       usageHist,
 		billing:         billing,
-		rewards:         rewards,
 		dayUsage:        make([]float64, cfg.Scenario.Periods),
+		pub:             newBoard(),
 		coldPeriodEvals: coldPS.Evals,
-	}, nil
+	}
+	o.publish(0, rewards)
+	return o, nil
 }
 
 // Measurement exposes the measurement engine for traffic accounting.
@@ -188,30 +193,29 @@ func (o *Optimizer) Stream() *StreamProfiler { return o.stream }
 func (o *Optimizer) Billing() *Billing { return o.billing }
 
 // Period returns the index (0-based) of the period now in progress.
-func (o *Optimizer) Period() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.period
-}
+func (o *Optimizer) Period() int { return o.pub.load().period }
 
 // CurrentReward returns the published reward for the period in progress.
-func (o *Optimizer) CurrentReward() float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.rewards[o.period%o.cfg.Scenario.Periods]
-}
+func (o *Optimizer) CurrentReward() float64 { return o.pub.load().priceInfo().Reward }
 
 // Schedule returns a copy of the full day reward schedule.
 func (o *Optimizer) Schedule() []float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]float64(nil), o.rewards...)
+	return append([]float64(nil), o.pub.load().rewards...)
+}
+
+// publish makes (period, rewards) the record every reader sees. The
+// schedule is copied, so the record stays immutable whatever the
+// caller does with its slice. Callers must hold o.mu (or own o
+// exclusively, as NewOptimizer does).
+func (o *Optimizer) publish(period int, rewards []float64) {
+	o.pub.publish(newPublication(period, append([]float64(nil), rewards...), o.pub.stamp()))
 }
 
 // ClosePeriod ends the period in progress: it snapshots and resets the
 // measurement counters, feeds the observation to the online price engine,
-// logs price and usage history, and publishes the updated schedule.
-// It returns the closed period's per-class measured volumes.
+// logs price and usage history, and publishes the updated schedule as
+// one new record. It returns the closed period's per-class measured
+// volumes.
 func (o *Optimizer) ClosePeriod() ([]float64, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -220,8 +224,10 @@ func (o *Optimizer) ClosePeriod() ([]float64, error) {
 	// billed in one period but profiled in the other (the old
 	// UserTotals-then-Reset pair left that window open).
 	observed, perUser := o.meas.Rollover()
-	idx := o.period % o.cfg.Scenario.Periods
-	reward := o.rewards[idx]
+	cur := o.pub.load()
+	period, rewards := cur.period, cur.rewards
+	idx := period % o.cfg.Scenario.Periods
+	reward := rewards[idx]
 
 	if err := o.billing.AddPeriod(perUser, reward); err != nil {
 		return nil, fmt.Errorf("billing: %w", err)
@@ -250,9 +256,9 @@ func (o *Optimizer) ClosePeriod() ([]float64, error) {
 	if o.online != nil {
 		ps, err := o.online.Advance(observed)
 		if err != nil {
-			return nil, fmt.Errorf("close period %d: %w", o.period, err)
+			return nil, fmt.Errorf("close period %d: %w", period, err)
 		}
-		o.rewards = o.online.Rewards()
+		rewards = o.online.Rewards()
 		o.recordPeriodSolve(ps)
 	} else {
 		// Mechanism mode: bank the period's usage total; at the day
@@ -260,42 +266,42 @@ func (o *Optimizer) ClosePeriod() ([]float64, error) {
 		// its next-day schedule (mechanisms plan whole days, not periods).
 		o.dayUsage[idx] = total
 		if idx == o.cfg.Scenario.Periods-1 {
-			if err := o.replanMechanism(); err != nil {
+			var err error
+			if rewards, err = o.replanMechanism(); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	t := int64(o.period + 1)
+	t := int64(period + 1)
 	if err := o.priceHist.Update(t, reward); err != nil {
 		return nil, fmt.Errorf("price history: %w", err)
 	}
 	if err := o.usageHist.Update(t, total); err != nil {
 		return nil, fmt.Errorf("usage history: %w", err)
 	}
-	o.period++
+	o.publish(period+1, rewards)
 	return observed, nil
 }
 
 // replanMechanism closes a day in mechanism mode: the day's observed
-// usage totals go to the pricing mechanism as its observation, and the
-// schedule it plans is published for the next day. Callers must hold
+// usage totals go to the pricing mechanism as its observation, and it
+// returns the schedule to publish for the next day. Callers must hold
 // o.mu.
-func (o *Optimizer) replanMechanism() error {
+func (o *Optimizer) replanMechanism() ([]float64, error) {
 	ob := &mechanism.Observation{Usage: append([]float64(nil), o.dayUsage...)}
 	rewards, err := o.cfg.Pricer.PlanDay(o.cfg.Scenario, ob)
 	if err != nil {
-		return fmt.Errorf("mechanism %q day plan: %w", o.cfg.Pricer.Name(), err)
+		return nil, fmt.Errorf("mechanism %q day plan: %w", o.cfg.Pricer.Name(), err)
 	}
 	if len(rewards) != o.cfg.Scenario.Periods {
-		return fmt.Errorf("mechanism %q planned %d periods, want %d: %w",
+		return nil, fmt.Errorf("mechanism %q planned %d periods, want %d: %w",
 			o.cfg.Pricer.Name(), len(rewards), o.cfg.Scenario.Periods, ErrBadInput)
 	}
-	o.rewards = rewards
 	obs.Default().Counter("optimizer_mechanism_plans_total",
 		"mechanism day plans published, by mechanism",
 		obs.Labels{"mechanism": o.cfg.Pricer.Name()}).Inc()
-	return nil
+	return rewards, nil
 }
 
 // recordPeriodSolve publishes one online re-optimization to the default

@@ -58,6 +58,10 @@ type Server struct {
 	// cl is the cluster plane, non-nil once EnableCluster has run.
 	cl *clusterState
 
+	// done is closed when shutdown begins, releasing held snapshot polls.
+	done     chan struct{}
+	doneOnce sync.Once
+
 	mu      sync.Mutex
 	httpSrv *http.Server // guarded by mu: non-nil once Serve has been called
 }
@@ -85,6 +89,7 @@ func NewServer(opt *Optimizer) (*Server, error) {
 		reg:      obs.NewRegistry(),
 		counters: make(map[string]*obs.Counter),
 		rejected: make(map[string]*obs.Counter),
+		done:     make(chan struct{}),
 	}
 	s.handle("GET /price", "price", s.handlePrice)
 	s.handle("GET /history", "history", s.handleHistory)
@@ -183,6 +188,9 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.httpSrv == nil {
 		s.httpSrv = &http.Server{Handler: s}
+		// http.Server.Shutdown waits for active requests, and a held
+		// snapshot poll is one: release it the moment shutdown starts.
+		s.httpSrv.RegisterOnShutdown(s.wake)
 	}
 	srv := s.httpSrv
 	s.mu.Unlock()
@@ -211,21 +219,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
+// wake releases every held snapshot poll; later polls answer at once.
+func (s *Server) wake() { s.doneOnce.Do(func() { close(s.done) }) }
+
 func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
-	// A cluster follower serves the leader's replicated schedule: the
+	// One published record, one load: the period and its reward always
+	// match, and a close or a refit in progress never blocks the reader.
+	// A cluster follower serves the leader's replicated schedule, so the
 	// whole plane publishes one price while only the leader solves.
-	if info, replicated, err := s.replicatedPrice(); replicated {
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		writeJSON(w, http.StatusOK, info)
+	info, err := s.currentPrice()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
-	}
-	info := PriceInfo{
-		Period:  s.opt.Period(),
-		Reward:  s.opt.CurrentReward(),
-		Rewards: s.opt.Schedule(),
 	}
 	writeJSON(w, http.StatusOK, info)
 }

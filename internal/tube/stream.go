@@ -73,7 +73,7 @@ type StreamProfiler struct {
 	mu        sync.Mutex
 	periods   int
 	classes   int
-	baseline  [][]float64 // [period][class]; immutable after New
+	baseline  [][]float64              // [period][class]; immutable after New
 	fitters   []*estimate.StreamFitter // guarded by mu: one single-type fitter per class
 	betas     []float64                // guarded by mu: last refined per-class patience
 	refined   bool                     // guarded by mu: betas hold a fit (not still empty)
