@@ -12,9 +12,9 @@ import (
 // in both orders — the classic AB/BA deadlock. It matters since PR 6/7
 // put multi-lock holds on the hot path: Optimizer.ClosePeriod holds its
 // own mutex across the billing fold and the streaming refine, and
-// Controller.ObservePeriod holds its mutex across the fold/refine/replan
-// cut, so each of those critical sections transitively acquires other
-// annotated mutexes. One inverted nesting anywhere in the package and
+// Controller's day cut holds its mutex across the profiler fold and
+// re-estimation, so each of those critical sections transitively
+// acquires other annotated mutexes. One inverted nesting anywhere in the package and
 // two period closes can deadlock each other.
 //
 // Mutexes are identified as Type.field for every sync.Mutex/RWMutex

@@ -122,6 +122,22 @@ func New(name string, p Params) (Pricer, error) {
 	return f(p)
 }
 
+// Plan runs p's day plan for scn under the optional observation and
+// checks that the schedule covers exactly scn.Periods periods, so a
+// caller can publish it as a day schedule. A wrong-length plan wraps
+// ErrBadMechanism; a PlanDay failure is wrapped as returned.
+func Plan(p Pricer, scn *core.Scenario, obs *Observation) ([]float64, error) {
+	rewards, err := p.PlanDay(scn, obs)
+	if err != nil {
+		return nil, fmt.Errorf("mechanism %q day plan: %w", p.Name(), err)
+	}
+	if len(rewards) != scn.Periods {
+		return nil, fmt.Errorf("mechanism %q planned %d periods, want %d: %w",
+			p.Name(), len(rewards), scn.Periods, ErrBadMechanism)
+	}
+	return rewards, nil
+}
+
 // maxReward is the common reward cap every backend plans under: the
 // smaller of the maximum marginal over-capacity cost (the ISP never
 // rationally pays more than its marginal benefit, Appendix C) and the

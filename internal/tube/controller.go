@@ -17,24 +17,19 @@ import (
 // TIP-vs-TDP differences to the profiling engine, and re-estimate the
 // patience indices that drive the next day's optimization — the "weekly"
 // estimation workflow §IV describes, where the ISP never observes
-// individual sessions.
+// individual sessions. Its one estimator is the day-batch ClassProfiler;
+// the per-period streaming loop lives in the serving plane
+// (Optimizer.ClosePeriod with a StreamProfiler).
 //
-// With Streaming enabled the loop also turns per period: ObservePeriod
-// folds each period close into the streaming profiling engine,
-// warm-refines the patience estimate, and re-plans the remaining
-// schedule — estimation latency drops from a day to a period.
-//
-// All methods are safe for concurrent use: the day/period cut (usage
-// fold → re-estimation → belief update → re-plan) runs under one
-// critical section, so a concurrent Betas or PlanDay can never observe
-// a half-applied day.
+// All methods are safe for concurrent use: the day cut (usage fold →
+// re-estimation → belief update) runs under one critical section, so a
+// concurrent Betas or PlanDay can never observe a half-applied day.
 type Controller struct {
 	mu       sync.Mutex
 	cfg      ControllerConfig
 	betas    []float64 // guarded by mu
 	profiler *ClassProfiler
-	stream   *StreamProfiler // internally synchronized; nil unless cfg.Streaming
-	days     int             // guarded by mu
+	days     int // guarded by mu
 
 	// lastRewards is the most recent planned schedule; day 2 onward it
 	// warm-starts the solve (the patience belief moves only a little per
@@ -65,20 +60,11 @@ type ControllerConfig struct {
 	UseDynamic bool
 	// MinObservations gates re-estimation: the profiler must hold at
 	// least this many days of data before its estimates replace the
-	// prior (default 2 — a single day is rarely identifying). The
-	// streaming engine applies the same gate in complete days.
+	// prior (default 2 — a single day is rarely identifying).
 	MinObservations int
 	// EstimationIter caps the LM iterations per re-estimation (default
-	// 150; the day-batch fit starts from scratch each day, the streaming
-	// refinement warm-starts).
+	// 150; the day-batch fit starts from scratch each day).
 	EstimationIter int
-	// ProfileWindow bounds the day-batch profiler to the most recent
-	// days (0 = retain every day).
-	ProfileWindow int
-	// Streaming enables per-period re-estimation via ObservePeriod.
-	Streaming bool
-	// StreamWindow is the streaming engine's day window (default 3).
-	StreamWindow int
 	// Pricer, when set, replaces the optimizing day plan with a pricing
 	// mechanism from the zoo: PlanDay delegates to the mechanism under
 	// the *current patience belief* and the last closed day's usage
@@ -105,39 +91,6 @@ type DayReport struct {
 	// Trace is the day's timed span tree (plan → react → observe →
 	// estimate). Only RunDay/RunDayCtx populate it; a bare ObserveDay
 	// leaves it nil.
-	Trace *obs.Span
-}
-
-// PeriodReport summarizes one streamed period close.
-type PeriodReport struct {
-	// Period is the period index within the day (0-based).
-	Period int
-	// Day is the 1-based number of the day in progress (the day the
-	// period belongs to).
-	Day int
-	// DayClosed reports whether this period completed a day.
-	DayClosed bool
-	// Reward is the reward that was in force.
-	Reward float64
-	// UsageByClass is the folded per-class usage.
-	UsageByClass []float64
-	// Betas is the patience estimate in force after the fold.
-	Betas []float64
-	// Refined reports whether the streaming refinement updated the
-	// belief (false while the gate is not yet met or the window is
-	// quiesced).
-	Refined bool
-	// Replanned reports whether the schedule was re-optimized.
-	Replanned bool
-	// Rewards is the schedule in force after the period (re-planned or
-	// carried).
-	Rewards []float64
-	// StalePeriods is the streaming engine's estimate staleness after
-	// this period.
-	StalePeriods int
-	// Trace is the period's timed span tree (fold → refine → replan).
-	// Only ObservePeriodCtx under a traced context populates timings;
-	// the tree is always returned.
 	Trace *obs.Span
 }
 
@@ -170,26 +123,10 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.ProfileWindow > 0 {
-		if err := prof.SetWindow(cfg.ProfileWindow); err != nil {
-			return nil, err
-		}
-	}
-	var stream *StreamProfiler
-	if cfg.Streaming {
-		stream, err = NewStreamProfiler(cfg.Demand, scn.NormReward(), StreamConfig{
-			Window:  cfg.StreamWindow,
-			MaxIter: cfg.EstimationIter,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
 	return &Controller{
 		cfg:      cfg,
 		betas:    append([]float64(nil), cfg.InitialBetas...),
 		profiler: prof,
-		stream:   stream,
 	}, nil
 }
 
@@ -211,10 +148,6 @@ func (c *Controller) Days() int {
 	defer c.mu.Unlock()
 	return c.days
 }
-
-// Stream exposes the streaming profiling engine (nil unless the
-// controller was configured with Streaming).
-func (c *Controller) Stream() *StreamProfiler { return c.stream }
 
 // scenario builds the pricing scenario from the current belief.
 // Callers must hold c.mu.
@@ -284,13 +217,9 @@ func (c *Controller) planMechanismLocked() ([]float64, error) {
 	if c.lastUsage != nil {
 		ob = &mechanism.Observation{Usage: append([]float64(nil), c.lastUsage...)}
 	}
-	rewards, err := c.cfg.Pricer.PlanDay(scn, ob)
+	rewards, err := mechanism.Plan(c.cfg.Pricer, scn, ob)
 	if err != nil {
-		return nil, fmt.Errorf("mechanism %q day plan: %w", c.cfg.Pricer.Name(), err)
-	}
-	if len(rewards) != scn.Periods {
-		return nil, fmt.Errorf("mechanism %q planned %d periods, want %d: %w",
-			c.cfg.Pricer.Name(), len(rewards), scn.Periods, ErrBadInput)
+		return nil, badInput(err)
 	}
 	c.lastRewards = append([]float64(nil), rewards...)
 	obs.Default().Counter("controller_mechanism_plans_total",
@@ -398,95 +327,6 @@ func (c *Controller) publishDayMetrics(report *DayReport) {
 	}
 }
 
-// ObservePeriod closes one period of the streaming loop: fold the
-// authoritative per-class usage of the period into the streaming
-// profiling engine, warm-refine the patience estimate, and — once the
-// MinObservations gate (in complete days) is met and the refinement
-// produced new information — re-plan the schedule under the updated
-// belief. Requires Streaming in the configuration.
-func (c *Controller) ObservePeriod(period int, reward float64, usageByClass []float64) (*PeriodReport, error) {
-	return c.ObservePeriodCtx(context.Background(), period, reward, usageByClass)
-}
-
-// ObservePeriodCtx is ObservePeriod under a context: the period runs
-// inside a span tree rooted at controller.period (fold → refine →
-// replan), attached as a child if ctx already carries a span.
-//
-// The whole period cut runs under c.mu — the same critical-section
-// guarantee as observeDay, per period.
-func (c *Controller) ObservePeriodCtx(ctx context.Context, period int, reward float64, usageByClass []float64) (*PeriodReport, error) {
-	if c.stream == nil {
-		return nil, fmt.Errorf("streaming not enabled: %w", ErrBadInput)
-	}
-	ctx, span := obs.StartSpan(ctx, "controller.period")
-	defer span.End()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	_, foldSpan := obs.StartSpan(ctx, "profile.fold")
-	dayClosed, err := c.stream.FoldPeriod(period, reward, usageByClass)
-	foldSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	if dayClosed {
-		c.days++
-	}
-	report := &PeriodReport{
-		Period:       period,
-		Day:          c.days + 1,
-		DayClosed:    dayClosed,
-		Reward:       reward,
-		UsageByClass: append([]float64(nil), usageByClass...),
-		Trace:        span,
-	}
-	if dayClosed {
-		report.Day = c.days
-	}
-
-	if c.stream.Days() > 0 {
-		_, refineSpan := obs.StartSpan(ctx, "profile.refine")
-		est, err := c.stream.Refine()
-		refineSpan.End()
-		if err != nil {
-			return nil, fmt.Errorf("stream refine: %w", err)
-		}
-		// Adopt the streaming belief once the day gate is met; a reused
-		// refinement carries no new information, so the plan stands.
-		if !est.Reused && c.stream.Days() >= c.cfg.MinObservations {
-			c.betas = append(c.betas[:0], est.Betas...)
-			report.Refined = true
-			_, planSpan := obs.StartSpan(ctx, "optimize.replan")
-			rewards, err := c.planLocked()
-			planSpan.End()
-			if err != nil {
-				return nil, fmt.Errorf("replan: %w", err)
-			}
-			report.Replanned = true
-			report.Rewards = rewards
-		}
-	}
-	if report.Rewards == nil && c.lastRewards != nil {
-		report.Rewards = append([]float64(nil), c.lastRewards...)
-	}
-	report.Betas = c.betasLocked()
-	report.StalePeriods = c.stream.StalePeriods()
-	c.publishPeriodMetrics(report)
-	return report, nil
-}
-
-// publishPeriodMetrics exports the closed period to the default registry.
-func (c *Controller) publishPeriodMetrics(report *PeriodReport) {
-	reg := obs.Default()
-	reg.Counter("controller_periods_total", "streamed period closes", nil).Inc()
-	if report.Replanned {
-		reg.Counter("controller_replans_total", "per-period schedule re-optimizations", nil).Inc()
-	}
-	reg.Gauge("controller_stream_stale_periods",
-		"streaming estimate staleness after the last period close", nil).
-		Set(float64(report.StalePeriods))
-}
-
 // UserModel maps a published reward schedule to the realized per-period,
 // per-class usage — the population's reaction as the measurement engine
 // would account it. Emulations and tests plug in ground-truth behavior.
@@ -528,44 +368,6 @@ func (c *Controller) RunDayCtx(ctx context.Context, react UserModel) (*DayReport
 	}
 	report.Trace = day
 	return report, nil
-}
-
-// RunStreamDay runs one full day of the streaming loop: plan (or carry
-// the current schedule), let users react period by period, and close
-// every period through ObservePeriod — the per-period counterpart of
-// RunDay. react receives the reward in force for the period and returns
-// the per-class usage; the schedule may be re-planned mid-day, in which
-// case later periods see the updated rewards. It returns the last
-// period's report.
-func (c *Controller) RunStreamDay(react func(period int, reward float64) ([]float64, error)) (*PeriodReport, error) {
-	return c.RunStreamDayCtx(context.Background(), react)
-}
-
-// RunStreamDayCtx is RunStreamDay under a context; each period's span
-// tree hangs off ctx's span when present.
-func (c *Controller) RunStreamDayCtx(ctx context.Context, react func(period int, reward float64) ([]float64, error)) (*PeriodReport, error) {
-	if c.stream == nil {
-		return nil, fmt.Errorf("streaming not enabled: %w", ErrBadInput)
-	}
-	rewards, err := c.PlanDay()
-	if err != nil {
-		return nil, err
-	}
-	var last *PeriodReport
-	for i := range rewards {
-		reward := rewards[i]
-		usage, err := react(i, reward)
-		if err != nil {
-			return nil, fmt.Errorf("user reaction, period %d: %w", i, err)
-		}
-		if last, err = c.ObservePeriodCtx(ctx, i, reward, usage); err != nil {
-			return nil, err
-		}
-		if last.Rewards != nil {
-			rewards = last.Rewards
-		}
-	}
-	return last, nil
 }
 
 // dayBuckets spans 100µs…~1.5h: planning on a laptop scenario sits at

@@ -33,9 +33,6 @@ func TestErrorWrappingAudit(t *testing.T) {
 	}
 
 	// --- estimate-origin errors -----------------------------------------
-	if _, err := NewProfiler(0, 1, nil, 1); !errors.Is(err, ErrBadInput) || !errors.Is(err, estimate.ErrBadInput) {
-		t.Errorf("NewProfiler invalid model: %v, want tube.ErrBadInput ∧ estimate.ErrBadInput", err)
-	}
 	sp, err := NewStreamProfiler(scn.Demand, scn.NormReward(), StreamConfig{})
 	if err != nil {
 		t.Fatalf("NewStreamProfiler: %v", err)
@@ -63,14 +60,14 @@ func TestErrorWrappingAudit(t *testing.T) {
 	}
 
 	// --- tube-origin errors stay single-branded -------------------------
-	p, err := NewProfiler(scn.Periods, 3, scn.TotalDemand(), scn.NormReward())
+	p, err := NewClassProfiler(scn.Demand, scn.NormReward(), 50)
 	if err != nil {
-		t.Fatalf("NewProfiler: %v", err)
+		t.Fatalf("NewClassProfiler: %v", err)
 	}
-	if _, err := p.Estimate(); !errors.Is(err, ErrBadInput) {
-		t.Errorf("Estimate no observations: %v, want tube.ErrBadInput", err)
+	if _, err := p.EstimateBetas(); !errors.Is(err, ErrBadInput) {
+		t.Errorf("EstimateBetas no observations: %v, want tube.ErrBadInput", err)
 	}
-	if err := p.AddObservation([]float64{1}, []float64{1}); !errors.Is(err, ErrBadInput) {
+	if err := p.AddObservation([]float64{1}, [][]float64{{1}}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("AddObservation bad dims: %v, want tube.ErrBadInput", err)
 	}
 	c, err := NewController(controllerConfig())

@@ -137,19 +137,6 @@ func TestServerRequestCounters(t *testing.T) {
 	if counts["price"] != 2 || counts["usage"] != 1 || counts["usage_batch"] != 1 {
 		t.Errorf("RequestCounts = %v", counts)
 	}
-
-	// The /stats endpoint serves the same counters (and counts itself).
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/stats status %d", resp.StatusCode)
-	}
-	if got := srv.RequestCounts()["stats"]; got != 1 {
-		t.Errorf("stats counter = %d, want 1", got)
-	}
 }
 
 func TestServerServeShutdown(t *testing.T) {

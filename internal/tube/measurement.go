@@ -17,6 +17,7 @@ import (
 	"tdp/internal/core"
 	"tdp/internal/estimate"
 	"tdp/internal/ingest"
+	"tdp/internal/mechanism"
 )
 
 // ErrBadInput is returned for invalid engine inputs.
@@ -64,13 +65,14 @@ func NewMeasurementShards(classes []string, shards int) (*Measurement, error) {
 }
 
 // badInput rebrands a lower-layer validation error under this package's
-// sentinel. The tube package fronts three engines with their own
+// sentinel. The tube package fronts four layers with their own
 // sentinels — ingest.ErrBadReport, estimate.ErrBadInput,
-// core.ErrBadScenario — and callers of the tube API should not need to
-// know which layer rejected their input: every public entry point
-// funnels its error through here, so errors.Is(err, tube.ErrBadInput)
-// works uniformly while the original sentinel stays wrapped underneath
-// (errors.Is against the lower-layer sentinel also still matches).
+// core.ErrBadScenario, mechanism.ErrBadMechanism — and callers of the
+// tube API should not need to know which layer rejected their input:
+// every public entry point funnels its error through here, so
+// errors.Is(err, tube.ErrBadInput) works uniformly while the original
+// sentinel stays wrapped underneath (errors.Is against the lower-layer
+// sentinel also still matches).
 func badInput(err error) error {
 	if err == nil {
 		return nil
@@ -80,7 +82,8 @@ func badInput(err error) error {
 	}
 	if errors.Is(err, ingest.ErrBadReport) ||
 		errors.Is(err, estimate.ErrBadInput) ||
-		errors.Is(err, core.ErrBadScenario) {
+		errors.Is(err, core.ErrBadScenario) ||
+		errors.Is(err, mechanism.ErrBadMechanism) {
 		return fmt.Errorf("%w: %w", err, ErrBadInput)
 	}
 	return err

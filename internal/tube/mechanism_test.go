@@ -201,3 +201,61 @@ func (badPricer) Name() string { return "bad" }
 func (badPricer) PlanDay(*core.Scenario, *mechanism.Observation) ([]float64, error) {
 	return nil, errBadPlan
 }
+
+// TestMechanismShortPlanRejected: a mechanism whose day plan does not
+// cover every period is rejected as bad input on all three plan paths —
+// the optimizer's initial plan, its day-boundary replan, and the
+// controller's day plan.
+func TestMechanismShortPlanRejected(t *testing.T) {
+	scn := testScenario()
+	if _, err := NewOptimizer(OptimizerConfig{
+		Scenario: scn, Classes: testClasses(), Pricer: &shortPricer{},
+	}); !errors.Is(err, ErrBadInput) || !errors.Is(err, mechanism.ErrBadMechanism) {
+		t.Errorf("NewOptimizer: err = %v, want ErrBadInput ∧ ErrBadMechanism", err)
+	}
+
+	opt, err := NewOptimizer(OptimizerConfig{
+		Scenario: scn, Classes: testClasses(), Pricer: &shortPricer{full: 1},
+	})
+	if err != nil {
+		t.Fatalf("NewOptimizer: %v", err)
+	}
+	for p := 0; p < scn.Periods-1; p++ {
+		if _, err := opt.ClosePeriod(); err != nil {
+			t.Fatalf("ClosePeriod %d: %v", p, err)
+		}
+	}
+	if _, err := opt.ClosePeriod(); !errors.Is(err, ErrBadInput) {
+		t.Errorf("day-boundary ClosePeriod: err = %v, want ErrBadInput", err)
+	}
+
+	ctrl, err := NewController(ControllerConfig{
+		Demand:       scn.Demand,
+		Classes:      testClasses(),
+		InitialBetas: []float64{2, 2, 2},
+		Capacity:     scn.Capacity,
+		Cost:         scn.Cost,
+		Pricer:       &shortPricer{},
+	})
+	if err != nil {
+		t.Fatalf("NewController: %v", err)
+	}
+	if _, err := ctrl.PlanDay(); !errors.Is(err, ErrBadInput) {
+		t.Errorf("Controller.PlanDay: err = %v, want ErrBadInput", err)
+	}
+}
+
+// shortPricer plans full days for its first `full` calls and a day one
+// period short after that.
+type shortPricer struct {
+	full, calls int
+}
+
+func (*shortPricer) Name() string { return "short" }
+func (p *shortPricer) PlanDay(scn *core.Scenario, _ *mechanism.Observation) ([]float64, error) {
+	p.calls++
+	if p.calls <= p.full {
+		return make([]float64, scn.Periods), nil
+	}
+	return make([]float64, scn.Periods-1), nil
+}

@@ -61,7 +61,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE ingest_shard_users gauge\n",
 		"tube_current_period 0\n",
 		"tube_billing_periods 0\n",
-		"tube_profiler_observations 0\n",
 		// Solver metrics from the default registry: NewOptimizer's
 		// initial offline solve has already recorded at least one solve.
 		"# TYPE optimize_solves_total counter\n",
@@ -69,10 +68,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
-	}
-	// /stats must stay backward-compatible with the obs-backed counters.
-	if w := do("GET", "/stats", ""); w.Code != 200 || !strings.Contains(w.Body.String(), `"price":1`) {
-		t.Errorf("GET /stats = %d body %s", w.Code, w.Body)
 	}
 	counts := srv.RequestCounts()
 	if counts["usage"] != 2 || counts["metrics"] != 1 {

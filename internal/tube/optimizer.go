@@ -29,10 +29,6 @@ type OptimizerConfig struct {
 	// Shards is the measurement engine's lock-stripe count (0 → the
 	// ingest package default, sized from GOMAXPROCS).
 	Shards int
-	// ProfileWindow bounds the day-batch profiling engine to a sliding
-	// window of the most recent days (0 = retain every day, the
-	// original unbounded behavior).
-	ProfileWindow int
 	// Streaming enables the streaming profiling engine: per-class
 	// patience is re-estimated with a warm-started refinement at every
 	// period close, fed from the same atomic rollover cut that drives
@@ -51,13 +47,12 @@ type OptimizerConfig struct {
 }
 
 // Optimizer is the TUBE server brain: it owns the measurement engine, the
-// profiling engine, the online price determination engine, and the price
-// and usage history.
+// optional streaming profiling engine, the online price determination
+// engine, and the price and usage history.
 type Optimizer struct {
 	mu        sync.Mutex
 	cfg       OptimizerConfig
 	meas      *Measurement          // internally synchronized (sharded engine)
-	profiler  *Profiler             // internally synchronized
 	stream    *StreamProfiler       // internally synchronized; nil unless cfg.Streaming
 	online    *core.OnlineOptimizer // guarded by mu: the online engine has no lock of its own; nil when cfg.Pricer is set
 	priceHist *rrd.DB
@@ -99,16 +94,6 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	profiler, err := NewProfiler(cfg.Scenario.Periods, len(cfg.Classes),
-		cfg.Scenario.TotalDemand(), cfg.Scenario.NormReward())
-	if err != nil {
-		return nil, err
-	}
-	if cfg.ProfileWindow > 0 {
-		if err := profiler.SetWindow(cfg.ProfileWindow); err != nil {
-			return nil, err
-		}
-	}
 	var stream *StreamProfiler
 	if cfg.Streaming {
 		stream, err = NewStreamProfiler(cfg.Scenario.Demand, cfg.Scenario.NormReward(),
@@ -126,13 +111,8 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 		coldPS  core.PeriodSolve
 	)
 	if cfg.Pricer != nil {
-		rewards, err = cfg.Pricer.PlanDay(cfg.Scenario, nil)
-		if err != nil {
-			return nil, fmt.Errorf("mechanism %q initial plan: %w", cfg.Pricer.Name(), err)
-		}
-		if len(rewards) != cfg.Scenario.Periods {
-			return nil, fmt.Errorf("mechanism %q planned %d periods, want %d: %w",
-				cfg.Pricer.Name(), len(rewards), cfg.Scenario.Periods, ErrBadInput)
+		if rewards, err = mechanism.Plan(cfg.Pricer, cfg.Scenario, nil); err != nil {
+			return nil, badInput(err)
 		}
 	} else {
 		online, err = core.NewOnlineOptimizer(cfg.Scenario, core.OnlineConfig{
@@ -165,7 +145,6 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 	o := &Optimizer{
 		cfg:             cfg,
 		meas:            meas,
-		profiler:        profiler,
 		stream:          stream,
 		online:          online,
 		priceHist:       priceHist,
@@ -181,9 +160,6 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 
 // Measurement exposes the measurement engine for traffic accounting.
 func (o *Optimizer) Measurement() *Measurement { return o.meas }
-
-// Profiler exposes the profiling engine.
-func (o *Optimizer) Profiler() *Profiler { return o.profiler }
 
 // Stream exposes the streaming profiling engine (nil unless the
 // optimizer was configured with Streaming).
@@ -290,13 +266,9 @@ func (o *Optimizer) ClosePeriod() ([]float64, error) {
 // o.mu.
 func (o *Optimizer) replanMechanism() ([]float64, error) {
 	ob := &mechanism.Observation{Usage: append([]float64(nil), o.dayUsage...)}
-	rewards, err := o.cfg.Pricer.PlanDay(o.cfg.Scenario, ob)
+	rewards, err := mechanism.Plan(o.cfg.Pricer, o.cfg.Scenario, ob)
 	if err != nil {
-		return nil, fmt.Errorf("mechanism %q day plan: %w", o.cfg.Pricer.Name(), err)
-	}
-	if len(rewards) != o.cfg.Scenario.Periods {
-		return nil, fmt.Errorf("mechanism %q planned %d periods, want %d: %w",
-			o.cfg.Pricer.Name(), len(rewards), o.cfg.Scenario.Periods, ErrBadInput)
+		return nil, badInput(err)
 	}
 	obs.Default().Counter("optimizer_mechanism_plans_total",
 		"mechanism day plans published, by mechanism",

@@ -7,158 +7,17 @@ import (
 	"tdp/internal/estimate"
 )
 
-// Profiler is the profiling engine: it accumulates per-period aggregate
-// usage observations under the published rewards and estimates one
+// ClassProfiler is the day-batch profiling engine: it accumulates whole
+// days of published rewards and measured *per-class* usage, and fits one
 // patience index per traffic class with the §IV waiting-function
-// estimation algorithm.
+// estimation algorithm. Exploiting the measurement engine's per-class
+// accounting sidesteps the mixture-identifiability problem of the
+// aggregate algorithm: each class is a single-type estimation with its
+// own net flows.
 //
-// By default every recorded day is retained forever — fine for a
-// testbed week, an unbounded leak on a server that closes periods for
-// months. SetWindow bounds retention to a sliding window of the most
-// recent days; once the window is full, new days overwrite the oldest
-// in place (the slot's backing arrays are reused, so a windowed
-// profiler's memory stays flat no matter how many days it sees).
-type Profiler struct {
-	mu     sync.Mutex
-	model  *estimate.Model        // immutable after New (Fit does not mutate)
-	window int                    // guarded by mu: max days retained; 0 = unbounded
-	obs    []estimate.Observation // guarded by mu: ring when window > 0
-	head   int                    // guarded by mu: oldest slot once the ring is full
-	total  int                    // guarded by mu: days ever recorded
-}
-
-// NewProfiler builds a profiler for the given day structure: n periods,
-// one estimated (α, β) pair per class, baseline TIP demand per period and
-// the normalizing maximum reward.
-func NewProfiler(periods, classes int, baselineTIP []float64, maxReward float64) (*Profiler, error) {
-	m := &estimate.Model{
-		Periods:     periods,
-		Types:       classes,
-		BaselineTIP: append([]float64(nil), baselineTIP...),
-		MaxReward:   maxReward,
-	}
-	if err := m.Validate(); err != nil {
-		return nil, badInput(err)
-	}
-	return &Profiler{model: m}, nil
-}
-
-// SetWindow bounds retention to the most recent `days` observations
-// (0 restores unbounded growth). If more than `days` observations are
-// already banked, the oldest are dropped.
-func (p *Profiler) SetWindow(days int) error {
-	if days < 0 {
-		return fmt.Errorf("window %d: %w", days, ErrBadInput)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.obs = p.chronological(nil)
-	p.head = 0
-	if days > 0 && len(p.obs) > days {
-		p.obs = append(p.obs[:0], p.obs[len(p.obs)-days:]...)
-	}
-	p.window = days
-	return nil
-}
-
-// Window returns the retention bound (0 = unbounded).
-func (p *Profiler) Window() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.window
-}
-
-// chronological appends the retained observations, oldest first, to dst.
-// Callers must hold p.mu. The returned headers alias the ring's backing
-// arrays — deep-copy before releasing the lock if the data must survive
-// subsequent AddObservation calls.
-func (p *Profiler) chronological(dst []estimate.Observation) []estimate.Observation {
-	if p.window > 0 && len(p.obs) == p.window {
-		dst = append(dst, p.obs[p.head:]...)
-		return append(dst, p.obs[:p.head]...)
-	}
-	return append(dst, p.obs...)
-}
-
-// AddObservation records one day's rewards and per-period usage decreases
-// T_i (TIP baseline minus measured TDP usage).
-func (p *Profiler) AddObservation(rewards, t []float64) error {
-	if len(rewards) != p.model.Periods || len(t) != p.model.Periods {
-		return fmt.Errorf("observation dims %d/%d, want %d: %w",
-			len(rewards), len(t), p.model.Periods, ErrBadInput)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.total++
-	if p.window > 0 && len(p.obs) == p.window {
-		// Ring full: overwrite the oldest day in place, reusing its
-		// backing arrays so long-running windowed profiling allocates
-		// nothing per day.
-		slot := &p.obs[p.head]
-		copy(slot.Rewards, rewards)
-		copy(slot.T, t)
-		p.head++
-		if p.head == p.window {
-			p.head = 0
-		}
-		return nil
-	}
-	p.obs = append(p.obs, estimate.Observation{
-		Rewards: append([]float64(nil), rewards...),
-		T:       append([]float64(nil), t...),
-	})
-	return nil
-}
-
-// ObservationCount returns the number of retained observations.
-func (p *Profiler) ObservationCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.obs)
-}
-
-// TotalObserved returns the number of days ever recorded (monotonic;
-// the window retains the most recent min(TotalObserved, Window)).
-func (p *Profiler) TotalObserved() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.total
-}
-
-// Estimate runs the waiting-function estimation on everything retained so
-// far and returns the fitted per-period, per-class parameters.
-func (p *Profiler) Estimate() (estimate.Params, error) {
-	p.mu.Lock()
-	// Deep copy under the lock: a windowed ring reuses slot arrays, so
-	// the fit must not read storage a concurrent AddObservation may
-	// overwrite.
-	ordered := p.chronological(nil)
-	obs := make([]estimate.Observation, len(ordered))
-	for i, o := range ordered {
-		obs[i] = estimate.Observation{
-			Rewards: append([]float64(nil), o.Rewards...),
-			T:       append([]float64(nil), o.T...),
-		}
-	}
-	p.mu.Unlock()
-	if len(obs) == 0 {
-		return estimate.Params{}, fmt.Errorf("no observations: %w", ErrBadInput)
-	}
-	fit, err := p.model.Fit(obs)
-	if err != nil {
-		return estimate.Params{}, badInput(fmt.Errorf("profile: %w", err))
-	}
-	return fit.Params, nil
-}
-
-// ClassProfiler estimates one patience index per traffic class from
-// *per-class* usage — the TUBE profiling engine proper. Unlike the §IV
-// aggregate algorithm (Profiler), it exploits the measurement engine's
-// per-class accounting, which sidesteps the mixture-identifiability
-// problem: each class is a single-type estimation with its own net flows.
-//
-// Like Profiler, retention is unbounded by default and SetWindow bounds
-// it to a sliding window with in-place slot reuse.
+// Every recorded day is retained; the Controller's experiment loops run
+// for days, not months. The serving plane's long-running estimator is
+// StreamProfiler, which keeps a bounded day window.
 type ClassProfiler struct {
 	mu        sync.Mutex
 	periods   int
@@ -166,11 +25,8 @@ type ClassProfiler struct {
 	baseline  [][]float64 // [period][class] TIP demand; immutable after New
 	maxReward float64
 	maxIter   int
-	window    int           // guarded by mu: max days retained; 0 = unbounded
-	rewards   [][]float64   // guarded by mu: ring of per-day rewards when window > 0
-	usage     [][][]float64 // guarded by mu: ring of per-day [period][class] usage
-	head      int           // guarded by mu: oldest slot once the ring is full
-	total     int           // guarded by mu: days ever recorded
+	rewards   [][]float64   // guarded by mu: per-day rewards
+	usage     [][][]float64 // guarded by mu: per-day [period][class] usage
 }
 
 // NewClassProfiler builds a per-class profiler from the per-period,
@@ -198,47 +54,6 @@ func NewClassProfiler(baseline [][]float64, maxReward float64, maxIter int) (*Cl
 	return cp, nil
 }
 
-// SetWindow bounds retention to the most recent `days` observations
-// (0 restores unbounded growth). If more than `days` observations are
-// already banked, the oldest are dropped.
-func (cp *ClassProfiler) SetWindow(days int) error {
-	if days < 0 {
-		return fmt.Errorf("window %d: %w", days, ErrBadInput)
-	}
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	rewards, usage := cp.chronological()
-	cp.rewards, cp.usage = rewards, usage
-	cp.head = 0
-	if days > 0 && len(cp.rewards) > days {
-		drop := len(cp.rewards) - days
-		cp.rewards = append(cp.rewards[:0], cp.rewards[drop:]...)
-		cp.usage = append(cp.usage[:0], cp.usage[drop:]...)
-	}
-	cp.window = days
-	return nil
-}
-
-// Window returns the retention bound (0 = unbounded).
-func (cp *ClassProfiler) Window() int {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return cp.window
-}
-
-// chronological returns the retained days, oldest first. Callers must
-// hold cp.mu; the returned rows alias ring storage.
-func (cp *ClassProfiler) chronological() ([][]float64, [][][]float64) {
-	if cp.window > 0 && len(cp.rewards) == cp.window {
-		r := make([][]float64, 0, cp.window)
-		u := make([][][]float64, 0, cp.window)
-		r = append(append(r, cp.rewards[cp.head:]...), cp.rewards[:cp.head]...)
-		u = append(append(u, cp.usage[cp.head:]...), cp.usage[:cp.head]...)
-		return r, u
-	}
-	return cp.rewards, cp.usage
-}
-
 // AddObservation records one day: the published rewards and the measured
 // per-period, per-class usage.
 func (cp *ClassProfiler) AddObservation(rewards []float64, usage [][]float64) error {
@@ -252,43 +67,22 @@ func (cp *ClassProfiler) AddObservation(rewards []float64, usage [][]float64) er
 				i+1, len(row), cp.classes, ErrBadInput)
 		}
 	}
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	cp.total++
-	if cp.window > 0 && len(cp.rewards) == cp.window {
-		// Ring full: reuse the oldest day's storage in place.
-		copy(cp.rewards[cp.head], rewards)
-		slot := cp.usage[cp.head]
-		for i, row := range usage {
-			copy(slot[i], row)
-		}
-		cp.head++
-		if cp.head == cp.window {
-			cp.head = 0
-		}
-		return nil
-	}
 	u := make([][]float64, cp.periods)
 	for i, row := range usage {
 		u[i] = append([]float64(nil), row...)
 	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
 	cp.rewards = append(cp.rewards, append([]float64(nil), rewards...))
 	cp.usage = append(cp.usage, u)
 	return nil
 }
 
-// ObservationCount returns the number of retained days.
+// ObservationCount returns the number of recorded days.
 func (cp *ClassProfiler) ObservationCount() int {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	return len(cp.rewards)
-}
-
-// TotalObserved returns the number of days ever recorded.
-func (cp *ClassProfiler) TotalObserved() int {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return cp.total
 }
 
 // EstimateBetas fits one patience index per class: a single-type §IV
@@ -296,21 +90,8 @@ func (cp *ClassProfiler) TotalObserved() int {
 // average across periods.
 func (cp *ClassProfiler) EstimateBetas() ([]float64, error) {
 	cp.mu.Lock()
-	// Deep copy under the lock: ring slots are reused by concurrent
-	// AddObservation calls.
-	ordRewards, ordUsage := cp.chronological()
-	days := len(ordRewards)
-	rewards := make([][]float64, days)
-	usage := make([][][]float64, days)
-	for d := 0; d < days; d++ {
-		rewards[d] = append([]float64(nil), ordRewards[d]...)
-		u := make([][]float64, cp.periods)
-		for i, row := range ordUsage[d] {
-			u[i] = append([]float64(nil), row...)
-		}
-		usage[d] = u
-	}
-	cp.mu.Unlock()
+	defer cp.mu.Unlock()
+	days := len(cp.rewards)
 	if days == 0 {
 		return nil, fmt.Errorf("no observations: %w", ErrBadInput)
 	}
@@ -331,9 +112,9 @@ func (cp *ClassProfiler) EstimateBetas() ([]float64, error) {
 		for d := 0; d < days; d++ {
 			t := make([]float64, cp.periods)
 			for i := 0; i < cp.periods; i++ {
-				t[i] = base[i] - usage[d][i][j]
+				t[i] = base[i] - cp.usage[d][i][j]
 			}
-			obs = append(obs, estimate.Observation{Rewards: rewards[d], T: t})
+			obs = append(obs, estimate.Observation{Rewards: cp.rewards[d], T: t})
 		}
 		fit, err := model.Fit(obs)
 		if err != nil {
@@ -351,30 +132,4 @@ func (cp *ClassProfiler) EstimateBetas() ([]float64, error) {
 		betas[j] = num / den
 	}
 	return betas, nil
-}
-
-// PatienceByClass reduces fitted parameters to a single representative
-// patience index per class: the demand-weighted average of β across
-// periods — the per-class summary the price engine consumes.
-func (p *Profiler) PatienceByClass(prm estimate.Params) ([]float64, error) {
-	n, m := prm.Dims()
-	if n != p.model.Periods || m != p.model.Types {
-		return nil, fmt.Errorf("params %dx%d, want %dx%d: %w",
-			n, m, p.model.Periods, p.model.Types, ErrBadInput)
-	}
-	out := make([]float64, m)
-	for j := 0; j < m; j++ {
-		var num, den float64
-		for i := 0; i < n; i++ {
-			w := prm.Alpha[i][j] * p.model.BaselineTIP[i]
-			num += w * prm.Beta[i][j]
-			den += w
-		}
-		if den == 0 {
-			out[j] = 1 // neutral default when a class carries no traffic
-			continue
-		}
-		out[j] = num / den
-	}
-	return out, nil
 }

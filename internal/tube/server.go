@@ -50,10 +50,9 @@ type Server struct {
 	// and latency histograms (maintained by the counting middleware),
 	// the ingest engine's counters, and gauges over the optimizer's
 	// state. GET /metrics serves it merged with obs.Default().
-	reg          *obs.Registry
-	counterNames []string
-	counters     map[string]*obs.Counter
-	rejected     map[string]*obs.Counter
+	reg      *obs.Registry
+	counters map[string]*obs.Counter
+	rejected map[string]*obs.Counter
 
 	// cl is the cluster plane, non-nil once EnableCluster has run.
 	cl *clusterState
@@ -96,7 +95,6 @@ func NewServer(opt *Optimizer) (*Server, error) {
 	s.handle("GET /bill", "bill", s.handleBill)
 	s.handle("POST /usage", "usage", s.handleUsage)
 	s.handle("POST /usage/batch", "usage_batch", s.handleUsageBatch)
-	s.handle("GET /stats", "stats", s.handleStats)
 	s.handle("GET /metrics", "metrics", s.handleMetrics)
 	s.handle("GET /healthz", "healthz", s.handleHealthz)
 	opt.Measurement().Engine().Instrument(s.reg)
@@ -109,7 +107,7 @@ func NewServer(opt *Optimizer) (*Server, error) {
 
 // registerStateGauges exposes the optimizer's control-loop state as
 // scrape-time gauges: the period clock, the published incentive, and
-// the billing/profiling engines' progress.
+// the billing engine's progress.
 func (s *Server) registerStateGauges() {
 	opt := s.opt
 	s.reg.GaugeFunc("tube_current_period", "period index in progress", nil,
@@ -120,8 +118,6 @@ func (s *Server) registerStateGauges() {
 		func() float64 { return float64(opt.Billing().Periods()) })
 	s.reg.GaugeFunc("tube_billing_users", "users carrying a charge in the open billing cycle", nil,
 		func() float64 { return float64(opt.Billing().Users()) })
-	s.reg.GaugeFunc("tube_profiler_observations", "days recorded by the profiling engine", nil,
-		func() float64 { return float64(opt.Profiler().ObservationCount()) })
 }
 
 // handle registers a route wrapped in request counting and latency
@@ -132,7 +128,6 @@ func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
 	c := s.reg.Counter("tube_http_requests_total", "HTTP requests served, by handler", lbl)
 	hist := s.reg.Histogram("tube_http_request_seconds", "HTTP request latency in seconds, by handler", lbl, latencyBuckets)
 	s.counters[name] = c
-	s.counterNames = append(s.counterNames, name)
 	if len(pattern) > 4 && (pattern[:4] == "POST" || pattern[:3] == "PUT") {
 		s.rejected[name] = s.reg.Counter("tube_http_rejected_total",
 			"requests rejected for oversized bodies, by handler", lbl)
@@ -352,10 +347,6 @@ func usageStatus(err error) int {
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.RequestCounts())
 }
 
 // handleMetrics serves the Prometheus exposition: the server's own

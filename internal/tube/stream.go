@@ -1,7 +1,7 @@
-// Streaming profiling: the live counterpart of the day-batch Profiler /
-// ClassProfiler pair (DESIGN.md §12).
+// Streaming profiling: the live counterpart of the day-batch
+// ClassProfiler (DESIGN.md §12).
 //
-// The batch engines collect whole days and re-fit from a neutral start
+// The batch engine collects whole days and re-fits from a neutral start
 // when asked — the paper's "weekly" workflow. StreamProfiler instead
 // rides the serving plane: it subscribes to the ingest engine's delta
 // stream for a live per-class usage sketch, folds the *authoritative*
@@ -37,9 +37,6 @@ type StreamConfig struct {
 	// Window is the number of complete days each per-class fitter
 	// retains (default 3).
 	Window int
-	// MaxIter caps LM iterations per refinement (default from the
-	// estimate package).
-	MaxIter int
 	// Tol is the LM convergence tolerance for both the streaming
 	// refinement and the batch comparator (default 1e-13 — tight enough
 	// that warm-started streaming and cold batch fits agree to the
@@ -126,14 +123,12 @@ func NewStreamProfiler(baseline [][]float64, maxReward float64, cfg StreamConfig
 			Types:       1,
 			BaselineTIP: base,
 			MaxReward:   maxReward,
-			MaxIter:     cfg.MaxIter,
 			Tol:         cfg.Tol,
 		}
 		sf, err := estimate.NewStreamFitter(m, estimate.StreamConfig{
-			Window:  cfg.Window,
-			MaxIter: cfg.MaxIter,
-			Tol:     cfg.Tol,
-			AbsTol:  cfg.AbsTol,
+			Window: cfg.Window,
+			Tol:    cfg.Tol,
+			AbsTol: cfg.AbsTol,
 		})
 		if err != nil {
 			return nil, badInput(fmt.Errorf("class %d: %w", j, err))

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"tdp/internal/core"
 	"tdp/internal/ingest"
 	"tdp/internal/obs"
 )
@@ -350,106 +349,17 @@ func TestOptimizerConcurrentCut(t *testing.T) {
 	}
 }
 
-// TestControllerStreamLoop drives the per-period streaming control loop
-// against the truth model: the belief must leave the flat prior, recover
-// the class ordering, and the reports must show per-period replanning.
-func TestControllerStreamLoop(t *testing.T) {
-	cfg := controllerConfig()
-	cfg.Streaming = true
-	cfg.StreamWindow = 3
-	cfg.MinObservations = 2
-	c, err := NewController(cfg)
-	if err != nil {
-		t.Fatalf("NewController: %v", err)
-	}
-	if c.Stream() == nil {
-		t.Fatal("Stream() nil with Streaming enabled")
-	}
-	m, err := core.NewStaticModel(testScenario())
-	if err != nil {
-		t.Fatalf("NewStaticModel: %v", err)
-	}
-	var replans int
-	var last *PeriodReport
-	for day := 0; day < 4; day++ {
-		sched, err := c.PlanDay()
-		if err != nil {
-			t.Fatalf("PlanDay: %v", err)
-		}
-		cur := append([]float64(nil), sched...)
-		for i := range cur {
-			usage := m.UsageByType(cur)
-			last, err = c.ObservePeriod(i, cur[i], usage[i])
-			if err != nil {
-				t.Fatalf("day %d period %d: %v", day, i, err)
-			}
-			if last.Period != i {
-				t.Fatalf("report period %d, want %d", last.Period, i)
-			}
-			if last.DayClosed != (i == len(cur)-1) {
-				t.Fatalf("day closed at period %d", i)
-			}
-			if last.Replanned {
-				replans++
-				copy(cur[i+1:], last.Rewards[i+1:])
-			}
-		}
-	}
-	if c.Days() != 4 {
-		t.Errorf("days = %d, want 4", c.Days())
-	}
-	if replans == 0 {
-		t.Error("streaming loop never replanned")
-	}
-	if last.Trace == nil {
-		t.Error("period report missing trace")
-	}
-	betas := c.Betas()
-	if !(betas[0] > betas[1] && betas[1] > betas[2]) {
-		t.Errorf("patience ordering not recovered: %v", betas)
-	}
-	// Streaming updated the belief away from the flat 2.5 prior.
-	moved := false
-	for _, b := range betas {
-		if b != 2.5 {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Error("belief never left the prior")
-	}
-}
-
-// TestControllerStreamRequiresConfig: period observation without
-// Streaming is rejected.
-func TestControllerStreamRequiresConfig(t *testing.T) {
-	c, err := NewController(controllerConfig())
-	if err != nil {
-		t.Fatalf("NewController: %v", err)
-	}
-	if _, err := c.ObservePeriod(0, 0.5, []float64{1, 2, 3}); !errors.Is(err, ErrBadInput) {
-		t.Errorf("err = %v, want ErrBadInput", err)
-	}
-	if _, err := c.RunStreamDay(nil); !errors.Is(err, ErrBadInput) {
-		t.Errorf("RunStreamDay: err = %v, want ErrBadInput", err)
-	}
-}
-
-// TestControllerConcurrentReaders: belief readers race the streaming
-// loop (run under -race in CI) — the day/period cut is one critical
-// section, so reads see either the pre- or post-cut belief.
+// TestControllerConcurrentReaders: belief readers race the day loop
+// (run under -race in CI) — the day cut is one critical section, so
+// reads see either the pre- or post-cut belief.
 func TestControllerConcurrentReaders(t *testing.T) {
 	cfg := controllerConfig()
-	cfg.Streaming = true
 	cfg.MinObservations = 1
 	c, err := NewController(cfg)
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
-	m, err := core.NewStaticModel(testScenario())
-	if err != nil {
-		t.Fatalf("NewStaticModel: %v", err)
-	}
+	react := truthModel(t)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
@@ -470,20 +380,20 @@ func TestControllerConcurrentReaders(t *testing.T) {
 			}
 		}()
 	}
-	react := func(period int, reward float64) ([]float64, error) {
-		sched := make([]float64, len(cfg.Demand))
-		for i := range sched {
-			sched[i] = reward
-		}
-		return m.UsageByType(sched)[period], nil
-	}
 	for day := 0; day < 2; day++ {
-		if _, err := c.RunStreamDay(react); err != nil {
+		rep, err := c.RunDay(react)
+		if err != nil {
 			t.Fatalf("day %d: %v", day, err)
+		}
+		if !rep.Reestimated {
+			t.Errorf("day %d not re-estimated", day)
 		}
 	}
 	close(stop)
 	wg.Wait()
+	if c.Days() != 2 {
+		t.Errorf("days = %d, want 2", c.Days())
+	}
 }
 
 // TestStreamProfilerInstrumented: the metric families the README quotes

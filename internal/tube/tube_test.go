@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"tdp/internal/core"
-	"tdp/internal/estimate"
 )
 
 // testScenario is a small 12-period, 3-class deployment: web, ftp, and
@@ -34,6 +33,19 @@ func testScenario() *core.Scenario {
 }
 
 func testClasses() []string { return []string{"web", "ftp", "video"} }
+
+// NewClassProfilerTruth returns a generator of per-period per-class
+// usage under the test scenario's true betas.
+func NewClassProfilerTruth(t *testing.T) (func(rewards []float64) [][]float64, error) {
+	t.Helper()
+	m, err := core.NewStaticModel(testScenario())
+	if err != nil {
+		return nil, err
+	}
+	return func(rewards []float64) [][]float64 {
+		return m.UsageByType(rewards)
+	}, nil
+}
 
 func TestMeasurementValidation(t *testing.T) {
 	if _, err := NewMeasurement(nil); !errors.Is(err, ErrBadInput) {
@@ -105,81 +117,68 @@ func TestMeasurementRecordErrors(t *testing.T) {
 }
 
 func TestProfilerEndToEnd(t *testing.T) {
-	// Feed the profiler synthetic observations generated from known
-	// parameters and check the per-class patience summary orders classes
-	// correctly (video most patient).
+	// Feed the per-class profiler days of usage generated from the true
+	// patience indices and check the estimates recover them.
 	scn := testScenario()
-	prof, err := NewProfiler(12, 3, scn.TotalDemand(), scn.Cost.MaxSlope())
+	prof, err := NewClassProfiler(scn.Demand, scn.NormReward(), 150)
 	if err != nil {
-		t.Fatalf("NewProfiler: %v", err)
+		t.Fatalf("NewClassProfiler: %v", err)
 	}
-	if _, err := prof.Estimate(); !errors.Is(err, ErrBadInput) {
+	if _, err := prof.EstimateBetas(); !errors.Is(err, ErrBadInput) {
 		t.Errorf("estimate with no data: err = %v, want ErrBadInput", err)
 	}
-
-	truth := estimate.NewParams(12, 3)
-	for i := 0; i < 12; i++ {
-		truth.Alpha[i] = []float64{0.2, 0.3, 0.5}
-		truth.Beta[i] = []float64{4, 1.5, 0.5}
+	truth, err := NewClassProfilerTruth(t)
+	if err != nil {
+		t.Fatalf("truth: %v", err)
 	}
-	gen := &estimate.Model{Periods: 12, Types: 3, BaselineTIP: scn.TotalDemand(), MaxReward: 3}
-	rewardSets := [][]float64{
-		{0, 0.5, 1, 0, 0.5, 1, 0, 0.5, 1, 0, 0.5, 1},
-		{1.5, 0, 0, 1.5, 0, 0, 1.5, 0, 0, 1.5, 0, 0},
-		{0.2, 0.4, 0.6, 0.8, 1, 1.2, 0.2, 0.4, 0.6, 0.8, 1, 1.2},
-		{1.2, 1, 0.8, 0.6, 0.4, 0.2, 0, 0, 0, 0, 0, 0},
-		{0, 0, 0, 0, 0, 0, 1.2, 1, 0.8, 0.6, 0.4, 0.2},
-		{0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7},
-		{1.5, 1.5, 0, 0, 1.5, 1.5, 0, 0, 1.5, 1.5, 0, 0},
-		{0, 1.4, 0, 1.1, 0, 0.8, 0, 0.5, 0, 0.2, 0, 1},
-	}
-	for _, p := range rewardSets {
-		tt, err := gen.NetFlows(truth, p)
-		if err != nil {
-			t.Fatalf("NetFlows: %v", err)
-		}
-		if err := prof.AddObservation(p, tt); err != nil {
+	const days = 4
+	for d := 0; d < days; d++ {
+		rewards := streamDayRewards(scn.Periods, d)
+		if err := prof.AddObservation(rewards, truth(rewards)); err != nil {
 			t.Fatalf("AddObservation: %v", err)
 		}
 	}
-	if prof.ObservationCount() != len(rewardSets) {
-		t.Fatalf("ObservationCount = %d, want %d", prof.ObservationCount(), len(rewardSets))
+	if prof.ObservationCount() != days {
+		t.Fatalf("ObservationCount = %d, want %d", prof.ObservationCount(), days)
 	}
-	prm, err := prof.Estimate()
+	betas, err := prof.EstimateBetas()
 	if err != nil {
-		t.Fatalf("Estimate: %v", err)
+		t.Fatalf("EstimateBetas: %v", err)
 	}
-	patience, err := prof.PatienceByClass(prm)
-	if err != nil {
-		t.Fatalf("PatienceByClass: %v", err)
-	}
-	if len(patience) != 3 {
-		t.Fatalf("PatienceByClass returned %d entries", len(patience))
-	}
-	// Identification of individual mixture components is weak (see §IV
-	// discussion), but the aggregate curves must be close: compare per
-	// period at a probe reward.
-	for period := 0; period < 12; period += 4 {
-		pe, err := gen.MaxPercentError(truth, prm, period, []float64{0.5, 1.5})
-		if err != nil {
-			t.Fatalf("MaxPercentError: %v", err)
-		}
-		if pe > 30 {
-			t.Errorf("period %d: aggregate curve error %.1f%% > 30%%", period+1, pe)
+	for j, want := range scn.Betas {
+		if math.Abs(betas[j]-want) > 0.1*want {
+			t.Errorf("class %d: β = %v, want %v within 10%%", j, betas[j], want)
 		}
 	}
 }
 
 func TestProfilerObservationValidation(t *testing.T) {
-	prof, err := NewProfiler(12, 3, make([]float64, 12), 3)
-	if err == nil {
-		// zero baseline is fine structurally; MaxReward>0 and dims valid
-		_ = prof
-	} else {
-		t.Fatalf("NewProfiler: %v", err)
+	scn := testScenario()
+	if _, err := NewClassProfiler(scn.Demand[:1], 1, 0); !errors.Is(err, ErrBadInput) {
+		t.Errorf("one-period baseline: err = %v, want ErrBadInput", err)
 	}
-	if err := prof.AddObservation([]float64{1}, []float64{1}); !errors.Is(err, ErrBadInput) {
+	if _, err := NewClassProfiler([][]float64{{1, 2}, {1}}, 1, 0); !errors.Is(err, ErrBadInput) {
+		t.Errorf("ragged baseline: err = %v, want ErrBadInput", err)
+	}
+	if _, err := NewClassProfiler(scn.Demand, 0, 0); !errors.Is(err, ErrBadInput) {
+		t.Errorf("zero max reward: err = %v, want ErrBadInput", err)
+	}
+	prof, err := NewClassProfiler(scn.Demand, scn.NormReward(), 0)
+	if err != nil {
+		t.Fatalf("NewClassProfiler: %v", err)
+	}
+	if err := prof.AddObservation([]float64{1}, [][]float64{{1, 2, 3}}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("short obs: err = %v, want ErrBadInput", err)
+	}
+	usage := make([][]float64, scn.Periods)
+	for i := range usage {
+		usage[i] = []float64{1, 2}
+	}
+	if err := prof.AddObservation(make([]float64, scn.Periods), usage); !errors.Is(err, ErrBadInput) {
+		t.Errorf("missing class: err = %v, want ErrBadInput", err)
+	}
+	if prof.ObservationCount() != 0 {
+		t.Errorf("rejected observations recorded: %d", prof.ObservationCount())
 	}
 }
 
