@@ -252,7 +252,7 @@ func runCluster(cfg loadConfig, n int, out io.Writer) error {
 		if err := nd.srv.DrainCluster(dctx); err != nil {
 			return err
 		}
-		eng := nd.opt.Measurement().Engine()
+		eng := nd.opt.Measurement()
 		accepted += eng.Accepted()
 		shed += nd.srv.ShedReports()
 		for _, v := range eng.ClassTotals() {

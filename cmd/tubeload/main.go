@@ -300,7 +300,7 @@ func runLoad(cfg loadConfig, loadMode string) (*loadResult, error) {
 	// sharded engine's authoritative sums exactly.
 	var streamed []*obs.FloatAdder
 	if cfg.stream {
-		eng := opt.Measurement().Engine()
+		eng := opt.Measurement()
 		streamed = make([]*obs.FloatAdder, len(eng.Classes()))
 		for j := range streamed {
 			streamed[j] = obs.NewFloatAdder()
@@ -401,7 +401,7 @@ func runLoad(cfg loadConfig, loadMode string) (*loadResult, error) {
 	for _, v := range opt.Measurement().ClassTotals() {
 		accounted += v
 	}
-	accepted := opt.Measurement().Engine().Accepted()
+	accepted := opt.Measurement().Accepted()
 	// Every report carries exactly 1 MB, so the sums are integers well
 	// below 2^53 and exact equality is the correct exactly-once check: a
 	// tolerance would mask a lost or doubled report.

@@ -86,7 +86,7 @@ func (s *Server) EnableCluster(opts ClusterOptions) error {
 	if _, ok := ring.Member(opts.SelfID); !ok {
 		return fmt.Errorf("self %q not in ring: %w", opts.SelfID, ErrBadInput)
 	}
-	eng := s.opt.Measurement().Engine()
+	eng := s.opt.Measurement()
 	classes := eng.Classes()
 	tab, err := wire.NewClassTable(classes)
 	if err != nil {

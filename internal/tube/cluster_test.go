@@ -136,7 +136,7 @@ func TestClusterWireIngestExactlyOnce(t *testing.T) {
 	sum := make([]float64, len(refClass))
 	var accepted int64
 	for _, nd := range nodes {
-		eng := nd.opt.Measurement().Engine()
+		eng := nd.opt.Measurement()
 		for j, v := range eng.ClassTotals() {
 			sum[j] += v
 		}
@@ -454,7 +454,7 @@ func TestClusterLoadShedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	shed, byClass := srv.cl.queue.ShedTotals()
-	applied := opt.Measurement().Engine().Accepted()
+	applied := opt.Measurement().Accepted()
 	if applied+shed != int64(sent) {
 		t.Fatalf("conservation: applied %d + shed %d != accepted %d", applied, shed, sent)
 	}
@@ -540,7 +540,7 @@ func TestGUIWireRoundTrip(t *testing.T) {
 	if err := srv.cl.queue.Drain(dctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := opt.Measurement().Engine().Accepted(); got != int64(len(reps)) {
+	if got := opt.Measurement().Accepted(); got != int64(len(reps)) {
 		t.Fatalf("engine accounted %d, sent %d", got, len(reps))
 	}
 }

@@ -18,18 +18,9 @@ func TestErrorWrappingAudit(t *testing.T) {
 	scn := testScenario()
 
 	// --- ingest-origin errors -------------------------------------------
-	if _, err := NewMeasurement(nil); !errors.Is(err, ErrBadInput) || !errors.Is(err, ingest.ErrBadReport) {
-		t.Errorf("NewMeasurement(nil): %v, want tube.ErrBadInput ∧ ingest.ErrBadReport", err)
-	}
-	m, err := NewMeasurement(testClasses())
-	if err != nil {
-		t.Fatalf("NewMeasurement: %v", err)
-	}
-	if err := m.Record("u", "nosuch", 1); !errors.Is(err, ErrBadInput) || !errors.Is(err, ingest.ErrBadReport) {
-		t.Errorf("Record bad class: %v, want tube.ErrBadInput ∧ ingest.ErrBadReport", err)
-	}
-	if err := m.RecordBatch([]UsageReport{{User: "u", Class: "web", VolumeMB: -1}}); !errors.Is(err, ErrBadInput) || !errors.Is(err, ingest.ErrBadReport) {
-		t.Errorf("RecordBatch negative volume: %v, want tube.ErrBadInput ∧ ingest.ErrBadReport", err)
+	dupCfg := OptimizerConfig{Scenario: scn, Classes: []string{"web", "web", "video"}}
+	if _, err := NewOptimizer(dupCfg); !errors.Is(err, ErrBadInput) || !errors.Is(err, ingest.ErrBadReport) {
+		t.Errorf("NewOptimizer duplicate class: %v, want tube.ErrBadInput ∧ ingest.ErrBadReport", err)
 	}
 
 	// --- estimate-origin errors -----------------------------------------

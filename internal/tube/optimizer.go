@@ -5,10 +5,14 @@ import (
 	"sync"
 
 	"tdp/internal/core"
+	"tdp/internal/ingest"
 	"tdp/internal/mechanism"
 	"tdp/internal/obs"
 	"tdp/internal/rrd"
 )
+
+// historyRows bounds the optimizer's price and usage RRD archives.
+const historyRows = 1024
 
 // OptimizerConfig describes a TUBE Optimizer deployment.
 type OptimizerConfig struct {
@@ -21,8 +25,6 @@ type OptimizerConfig struct {
 	// determination (the paper's TUBE Optimizer uses the online algorithm
 	// backed by the dynamic model).
 	UseDynamic bool
-	// HistoryRows bounds the RRD archives (default 1024).
-	HistoryRows int
 	// BasePrice is the baseline usage price per volume unit for billing
 	// ($0.10 units; default 1).
 	BasePrice float64
@@ -52,7 +54,7 @@ type OptimizerConfig struct {
 type Optimizer struct {
 	mu        sync.Mutex
 	cfg       OptimizerConfig
-	meas      *Measurement          // internally synchronized (sharded engine)
+	meas      *ingest.Engine        // internally synchronized (sharded engine)
 	stream    *StreamProfiler       // internally synchronized; nil unless cfg.Streaming
 	online    *core.OnlineOptimizer // guarded by mu: the online engine has no lock of its own; nil when cfg.Pricer is set
 	priceHist *rrd.DB
@@ -84,15 +86,12 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 		return nil, fmt.Errorf("%d classes for %d session types: %w",
 			len(cfg.Classes), len(cfg.Scenario.Betas), ErrBadInput)
 	}
-	if cfg.HistoryRows <= 0 {
-		cfg.HistoryRows = 1024
-	}
 	if cfg.BasePrice == 0 {
 		cfg.BasePrice = 1
 	}
-	meas, err := NewMeasurementShards(cfg.Classes, cfg.Shards)
+	meas, err := ingest.NewEngine(cfg.Classes, cfg.Shards)
 	if err != nil {
-		return nil, err
+		return nil, badInput(err)
 	}
 	var stream *StreamProfiler
 	if cfg.Streaming {
@@ -101,7 +100,7 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := stream.Attach(meas.Engine()); err != nil {
+		if err := stream.Attach(meas); err != nil {
 			return nil, err
 		}
 	}
@@ -123,11 +122,11 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 		}
 		rewards = online.Rewards()
 	}
-	priceHist, err := rrd.New(1, rrd.ArchiveSpec{Func: rrd.Last, Steps: 1, Rows: cfg.HistoryRows})
+	priceHist, err := rrd.New(1, rrd.ArchiveSpec{Func: rrd.Last, Steps: 1, Rows: historyRows})
 	if err != nil {
 		return nil, err
 	}
-	usageHist, err := rrd.New(1, rrd.ArchiveSpec{Func: rrd.Last, Steps: 1, Rows: cfg.HistoryRows})
+	usageHist, err := rrd.New(1, rrd.ArchiveSpec{Func: rrd.Last, Steps: 1, Rows: historyRows})
 	if err != nil {
 		return nil, err
 	}
@@ -158,8 +157,11 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 	return o, nil
 }
 
-// Measurement exposes the measurement engine for traffic accounting.
-func (o *Optimizer) Measurement() *Measurement { return o.meas }
+// Measurement exposes the measurement engine for traffic accounting:
+// per-user, per-class volume for the current period, the role IPtables
+// counters play in the paper's prototype. Its validation errors wrap
+// ingest.ErrBadReport, which the HTTP handlers map to 400.
+func (o *Optimizer) Measurement() *ingest.Engine { return o.meas }
 
 // Stream exposes the streaming profiling engine (nil unless the
 // optimizer was configured with Streaming).

@@ -97,7 +97,7 @@ func NewServer(opt *Optimizer) (*Server, error) {
 	s.handle("POST /usage/batch", "usage_batch", s.handleUsageBatch)
 	s.handle("GET /metrics", "metrics", s.handleMetrics)
 	s.handle("GET /healthz", "healthz", s.handleHealthz)
-	opt.Measurement().Engine().Instrument(s.reg)
+	opt.Measurement().Instrument(s.reg)
 	if sp := opt.Stream(); sp != nil {
 		sp.Instrument(s.reg)
 	}

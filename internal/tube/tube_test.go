@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"tdp/internal/core"
@@ -45,75 +47,6 @@ func NewClassProfilerTruth(t *testing.T) (func(rewards []float64) [][]float64, e
 	return func(rewards []float64) [][]float64 {
 		return m.UsageByType(rewards)
 	}, nil
-}
-
-func TestMeasurementValidation(t *testing.T) {
-	if _, err := NewMeasurement(nil); !errors.Is(err, ErrBadInput) {
-		t.Errorf("no classes: err = %v, want ErrBadInput", err)
-	}
-	if _, err := NewMeasurement([]string{"a", "a"}); !errors.Is(err, ErrBadInput) {
-		t.Errorf("dup class: err = %v, want ErrBadInput", err)
-	}
-	if _, err := NewMeasurement([]string{""}); !errors.Is(err, ErrBadInput) {
-		t.Errorf("empty class: err = %v, want ErrBadInput", err)
-	}
-}
-
-func TestMeasurementAccounting(t *testing.T) {
-	m, err := NewMeasurement(testClasses())
-	if err != nil {
-		t.Fatalf("NewMeasurement: %v", err)
-	}
-	mustRecord := func(u, c string, v float64) {
-		t.Helper()
-		if err := m.Record(u, c, v); err != nil {
-			t.Fatalf("Record(%s,%s,%v): %v", u, c, v, err)
-		}
-	}
-	mustRecord("user1", "web", 10)
-	mustRecord("user1", "web", 5)
-	mustRecord("user2", "video", 100)
-	mustRecord("user2", "ftp", 20)
-
-	totals := m.ClassTotals()
-	want := []float64{15, 20, 100}
-	for i := range want {
-		if totals[i] != want[i] {
-			t.Errorf("ClassTotals[%d] = %v, want %v", i, totals[i], want[i])
-		}
-	}
-	users := m.UserTotals()
-	if users["user1"] != 15 || users["user2"] != 120 {
-		t.Errorf("UserTotals = %v", users)
-	}
-	if got := m.Users(); len(got) != 2 || got[0] != "user1" || got[1] != "user2" {
-		t.Errorf("Users = %v", got)
-	}
-
-	closed := m.Reset()
-	for i := range want {
-		if closed[i] != want[i] {
-			t.Errorf("Reset returned %v, want %v", closed, want)
-		}
-	}
-	for _, v := range m.ClassTotals() {
-		if v != 0 {
-			t.Error("counters not cleared by Reset")
-		}
-	}
-}
-
-func TestMeasurementRecordErrors(t *testing.T) {
-	m, _ := NewMeasurement(testClasses())
-	if err := m.Record("", "web", 1); !errors.Is(err, ErrBadInput) {
-		t.Errorf("empty user: err = %v, want ErrBadInput", err)
-	}
-	if err := m.Record("u", "smtp", 1); !errors.Is(err, ErrBadInput) {
-		t.Errorf("unknown class: err = %v, want ErrBadInput", err)
-	}
-	if err := m.Record("u", "web", -1); !errors.Is(err, ErrBadInput) {
-		t.Errorf("negative volume: err = %v, want ErrBadInput", err)
-	}
 }
 
 func TestProfilerEndToEnd(t *testing.T) {
@@ -317,13 +250,26 @@ func TestServerRejectsBadUsage(t *testing.T) {
 	srv, _ := NewServer(opt)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	gui, _ := NewGUI(ts.URL)
-	ctx := context.Background()
-	if err := gui.ReportUsage(ctx, UsageReport{User: "u", Class: "nope", VolumeMB: 1}); err == nil {
-		t.Error("unknown class accepted over the wire")
+	for _, tc := range []struct{ name, path, body string }{
+		{"unknown class", "/usage", `{"user":"u","class":"nope","volumeMB":1}`},
+		{"empty user", "/usage", `{"user":"","class":"web","volumeMB":1}`},
+		{"negative volume in batch", "/usage/batch",
+			`[{"user":"u","class":"web","volumeMB":2},{"user":"u","class":"ftp","volumeMB":-1}]`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
 	}
-	if err := gui.ReportUsage(ctx, UsageReport{User: "", Class: "web", VolumeMB: 1}); err == nil {
-		t.Error("empty user accepted over the wire")
+	// All-or-nothing: the rejected batch's valid report was not applied.
+	for i, v := range opt.Measurement().ClassTotals() {
+		if v != 0 {
+			t.Errorf("class %d total %v after rejected requests, want 0", i, v)
+		}
 	}
 }
 

@@ -93,51 +93,6 @@ func (w PowerLaw) ValueAt(p, t float64) float64 {
 	return w.c * p * math.Pow(t+1, -w.Beta)
 }
 
-// Concave is the concave-in-p generalization w(p,t) = C·p^γ/(t+1)^β with
-// exponent γ ∈ (0, 1]. γ = 1 recovers PowerLaw. It exists to exercise
-// Prop. 3's full generality (any increasing concave p-dependence keeps the
-// problem convex).
-type Concave struct {
-	Beta  float64
-	Gamma float64
-	c     float64
-}
-
-var _ Func = Concave{}
-
-// NewConcave builds a concave waiting function normalized the same way as
-// NewPowerLaw.
-func NewConcave(beta, gamma float64, n int, maxReward float64) (Concave, error) {
-	if gamma <= 0 || gamma > 1 || math.IsNaN(gamma) {
-		return Concave{}, fmt.Errorf("gamma %v (need 0 < γ ≤ 1): %w", gamma, ErrInvalid)
-	}
-	if _, err := NewPowerLaw(beta, n, maxReward); err != nil {
-		return Concave{}, err
-	}
-	// Normalize so Σ_{t=1..n−1} C·P^γ/(t+1)^β = 1, i.e. C = 1/(P^γ·S_β).
-	var s float64
-	for t := 1; t <= n-1; t++ {
-		s += math.Pow(float64(t+1), -beta)
-	}
-	return Concave{Beta: beta, Gamma: gamma, c: 1 / (math.Pow(maxReward, gamma) * s)}, nil
-}
-
-// Value implements Func.
-func (w Concave) Value(p float64, t int) float64 {
-	if p <= 0 || t < 1 {
-		return 0
-	}
-	return w.c * math.Pow(p, w.Gamma) * math.Pow(float64(t+1), -w.Beta)
-}
-
-// DerivP implements Func.
-func (w Concave) DerivP(p float64, t int) float64 {
-	if p <= 0 || t < 1 {
-		return 0
-	}
-	return w.c * w.Gamma * math.Pow(p, w.Gamma-1) * math.Pow(float64(t+1), -w.Beta)
-}
-
 // DeferTime returns the deferral time from period from to period to in an
 // n-period day: the b ∈ [1, n] with b ≡ to−from (mod n) (paper §II). A
 // result of n means "a full day later", which the models never use.

@@ -126,48 +126,6 @@ func TestPowerLawInvalidTime(t *testing.T) {
 	}
 }
 
-func TestConcaveValidation(t *testing.T) {
-	for _, gamma := range []float64{0, -0.5, 1.5, math.NaN()} {
-		if _, err := NewConcave(1, gamma, 12, 1); !errors.Is(err, ErrInvalid) {
-			t.Errorf("gamma=%v: err = %v, want ErrInvalid", gamma, err)
-		}
-	}
-}
-
-func TestConcaveReducesToPowerLaw(t *testing.T) {
-	pl, _ := NewPowerLaw(2, 12, 1)
-	cc, err := NewConcave(2, 1, 12, 1)
-	if err != nil {
-		t.Fatalf("NewConcave: %v", err)
-	}
-	for _, dt := range []int{1, 5, 11} {
-		if math.Abs(pl.Value(0.3, dt)-cc.Value(0.3, dt)) > 1e-14 {
-			t.Errorf("γ=1 concave differs from power law at t=%d", dt)
-		}
-	}
-}
-
-func TestConcaveNormalizationAndConcavity(t *testing.T) {
-	w, err := NewConcave(1.5, 0.5, 12, 2)
-	if err != nil {
-		t.Fatalf("NewConcave: %v", err)
-	}
-	var s float64
-	for dt := 1; dt <= 11; dt++ {
-		s += w.Value(2, dt)
-	}
-	if math.Abs(s-1) > 1e-12 {
-		t.Errorf("Σw(P,t) = %v, want 1", s)
-	}
-	// Concavity in p: midpoint value above chord.
-	a, b := 0.2, 1.8
-	mid := w.Value((a+b)/2, 3)
-	chord := (w.Value(a, 3) + w.Value(b, 3)) / 2
-	if mid <= chord {
-		t.Errorf("not concave: w(mid)=%v ≤ chord %v", mid, chord)
-	}
-}
-
 func TestDeferTime(t *testing.T) {
 	tests := []struct {
 		from, to, n, want int

@@ -6,13 +6,13 @@
 //
 //	offset  size  field
 //	0       2     magic "TW"
-//	2       1     version (0 or 1)
+//	2       1     version (1)
 //	3       1     flags (reserved, must be 0)
 //	4       4     payload length, uint32 LE
-//	8       n     payload (version-specific, below)
+//	8       n     payload (below)
 //	8+n     4     CRC-32 (IEEE) over bytes [0, 8+n), uint32 LE
 //
-// Version 1 payload (the default):
+// Payload:
 //
 //	classHash uint32 LE        FNV-1a over the class names (table check)
 //	C         uvarint          class count, must match the table
@@ -31,9 +31,8 @@
 // user table amortizes each user string once per frame instead of once
 // per record — the dominant saving for per-user batches.
 //
-// Version 0 is the naive record-per-record layout (inline user string,
-// fixed 8-byte float). It exists as the cross-version compatibility
-// target: decoders accept both, encoders emit v1 unless pinned.
+// Encoders emit only VersionCurrent and decoders accept only it; any
+// other version byte is ErrVersion.
 //
 // Encode and decode are zero-allocation at steady state: the Encoder
 // reuses its output buffer and user-index map, the Decoder reuses its
@@ -69,9 +68,7 @@ const (
 	magic0 = 'T'
 	magic1 = 'W'
 
-	// VersionLegacy is the v0 record-per-record layout; VersionCurrent
-	// is the user-table + varint-packed v1 layout.
-	VersionLegacy  = 0
+	// VersionCurrent is the version byte of the layout above.
 	VersionCurrent = 1
 
 	headerLen  = 8
@@ -152,31 +149,19 @@ func unpackVolume(u uint64) float64 { return math.Float64frombits(bits.ReverseBy
 // use; pool one per sending goroutine (the Router does).
 type Encoder struct {
 	tab     *ClassTable
-	version byte
 	buf     []byte
 	userIdx map[string]int
 	users   []string
 	counts  []uint64
 }
 
-// NewEncoder builds a v1 encoder over the class table.
+// NewEncoder builds an encoder over the class table.
 func NewEncoder(tab *ClassTable) *Encoder {
 	return &Encoder{
 		tab:     tab,
-		version: VersionCurrent,
 		userIdx: make(map[string]int),
 		counts:  make([]uint64, tab.Len()),
 	}
-}
-
-// SetVersion pins the frame version emitted (VersionLegacy for peers
-// that only speak v0).
-func (e *Encoder) SetVersion(v byte) error {
-	if v != VersionLegacy && v != VersionCurrent {
-		return fmt.Errorf("%w: %d", ErrVersion, v)
-	}
-	e.version = v
-	return nil
 }
 
 // Encode frames one batch, returning the encoder's internal buffer —
@@ -196,14 +181,8 @@ func (e *Encoder) Encode(reports []ingest.Report) ([]byte, error) {
 // users, negative volumes — happens at the receiving node).
 func (e *Encoder) AppendFrame(dst []byte, reports []ingest.Report) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, magic0, magic1, e.version, 0, 0, 0, 0, 0)
-	var err error
-	switch e.version {
-	case VersionCurrent:
-		dst, err = e.appendPayloadV1(dst, reports)
-	case VersionLegacy:
-		dst, err = e.appendPayloadV0(dst, reports)
-	}
+	dst = append(dst, magic0, magic1, VersionCurrent, 0, 0, 0, 0, 0)
+	dst, err := e.appendPayloadV1(dst, reports)
 	if err != nil {
 		return nil, err
 	}
@@ -254,23 +233,6 @@ func (e *Encoder) appendPayloadV1(dst []byte, reports []ingest.Report) ([]byte, 
 	return dst, nil
 }
 
-func (e *Encoder) appendPayloadV0(dst []byte, reports []ingest.Report) ([]byte, error) {
-	dst = binary.LittleEndian.AppendUint32(dst, e.tab.hash)
-	dst = binary.AppendUvarint(dst, uint64(len(reports)))
-	for i := range reports {
-		r := &reports[i]
-		ci, ok := e.tab.idx[r.Class]
-		if !ok {
-			return nil, fmt.Errorf("%w: report %d class %q not in table", ErrBadBatch, i, r.Class)
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(r.User)))
-		dst = append(dst, r.User...)
-		dst = binary.AppendUvarint(dst, uint64(ci))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.VolumeMB))
-	}
-	return dst, nil
-}
-
 // Decoder turns frames back into report batches. Not safe for
 // concurrent use; pool one per connection-serving goroutine (the tube
 // server does).
@@ -281,7 +243,6 @@ type Decoder struct {
 	hashTab  []uint32
 	recs     []ingest.WireRecord
 	intern   map[string]internedUser
-	v0idx    map[string]int32 // per-frame user dedup for v0 DecodeRecords
 	counts   []int64
 }
 
@@ -293,8 +254,7 @@ type internedUser struct {
 	h uint32
 }
 
-// NewDecoder builds a decoder over the class table, accepting frames of
-// any supported version.
+// NewDecoder builds a decoder over the class table.
 func NewDecoder(tab *ClassTable) *Decoder {
 	return &Decoder{
 		tab:      tab,
@@ -313,9 +273,9 @@ func (d *Decoder) SetMaxFrameBytes(n int) {
 }
 
 // ClassCounts returns the per-class report counts of the most recently
-// decoded frame, ordered as the class table. For v1 frames this is the
-// header summary (verified against the records during decode); for v0
-// it is tallied while decoding. The slice is reused across Decode calls.
+// decoded frame, ordered as the class table: the header summary,
+// verified against the records during decode. The slice is reused
+// across Decode calls.
 func (d *Decoder) ClassCounts() []int64 { return d.counts }
 
 // Decode consumes one frame from the front of buf, appends its reports
@@ -323,16 +283,11 @@ func (d *Decoder) ClassCounts() []int64 { return d.counts }
 // consumed. Callers loop Decode over a request body holding several
 // frames; io.EOF-style "no more frames" is len(buf) == 0 at the caller.
 func (d *Decoder) Decode(buf []byte, dst []ingest.Report) (out []ingest.Report, consumed int, err error) {
-	version, payload, total, err := d.checkFrame(buf)
+	payload, total, err := d.checkFrame(buf)
 	if err != nil {
 		return dst, 0, err
 	}
-	switch version {
-	case VersionCurrent:
-		out, err = d.decodePayloadV1(payload, dst)
-	case VersionLegacy:
-		out, err = d.decodePayloadV0(payload, dst)
-	}
+	out, err = d.decodePayloadV1(payload, dst)
 	if err != nil {
 		return dst, 0, err
 	}
@@ -341,33 +296,32 @@ func (d *Decoder) Decode(buf []byte, dst []ingest.Report) (out []ingest.Report, 
 
 // checkFrame validates one frame's envelope — magic, version, flags,
 // length bound, CRC — and returns the payload in place.
-func (d *Decoder) checkFrame(buf []byte) (version byte, payload []byte, total int, err error) {
+func (d *Decoder) checkFrame(buf []byte) (payload []byte, total int, err error) {
 	if len(buf) < headerLen+trailerLen {
-		return 0, nil, 0, fmt.Errorf("%w: %d bytes, need at least %d", ErrTruncated, len(buf), headerLen+trailerLen)
+		return nil, 0, fmt.Errorf("%w: %d bytes, need at least %d", ErrTruncated, len(buf), headerLen+trailerLen)
 	}
 	if buf[0] != magic0 || buf[1] != magic1 {
-		return 0, nil, 0, fmt.Errorf("%w: bad magic %#x %#x", ErrCorrupt, buf[0], buf[1])
+		return nil, 0, fmt.Errorf("%w: bad magic %#x %#x", ErrCorrupt, buf[0], buf[1])
 	}
-	version = buf[2]
-	if version != VersionLegacy && version != VersionCurrent {
-		return 0, nil, 0, fmt.Errorf("%w: %d", ErrVersion, version)
+	if buf[2] != VersionCurrent {
+		return nil, 0, fmt.Errorf("%w: %d", ErrVersion, buf[2])
 	}
 	if buf[3] != 0 {
-		return 0, nil, 0, fmt.Errorf("%w: nonzero flags %#x", ErrCorrupt, buf[3])
+		return nil, 0, fmt.Errorf("%w: nonzero flags %#x", ErrCorrupt, buf[3])
 	}
 	payloadLen := int(binary.LittleEndian.Uint32(buf[4:]))
 	if payloadLen > d.maxFrame {
-		return 0, nil, 0, fmt.Errorf("%w: payload %d > limit %d", ErrTooLarge, payloadLen, d.maxFrame)
+		return nil, 0, fmt.Errorf("%w: payload %d > limit %d", ErrTooLarge, payloadLen, d.maxFrame)
 	}
 	total = headerLen + payloadLen + trailerLen
 	if len(buf) < total {
-		return 0, nil, 0, fmt.Errorf("%w: frame claims %d bytes, have %d", ErrTruncated, total, len(buf))
+		return nil, 0, fmt.Errorf("%w: frame claims %d bytes, have %d", ErrTruncated, total, len(buf))
 	}
 	wantCRC := binary.LittleEndian.Uint32(buf[headerLen+payloadLen:])
 	if got := crc32.ChecksumIEEE(buf[:headerLen+payloadLen]); got != wantCRC {
-		return 0, nil, 0, fmt.Errorf("%w: CRC mismatch (got %#x, frame says %#x)", ErrCorrupt, got, wantCRC)
+		return nil, 0, fmt.Errorf("%w: CRC mismatch (got %#x, frame says %#x)", ErrCorrupt, got, wantCRC)
 	}
-	return version, buf[headerLen : headerLen+payloadLen], total, nil
+	return buf[headerLen : headerLen+payloadLen], total, nil
 }
 
 // DecodeRecords consumes one frame from the front of buf zero-copy: no
@@ -382,17 +336,11 @@ func (d *Decoder) checkFrame(buf []byte) (version byte, payload []byte, total in
 // produces counters bit-identical to Decode + RecordBatchAdmitted (the
 // reference twin, pinned by the property tests).
 func (d *Decoder) DecodeRecords(buf []byte) (users []string, hashes []uint32, recs []ingest.WireRecord, consumed int, err error) {
-	version, payload, total, err := d.checkFrame(buf)
+	payload, total, err := d.checkFrame(buf)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	switch version {
-	case VersionCurrent:
-		err = d.decodeRecordsV1(payload)
-	case VersionLegacy:
-		err = d.decodeRecordsV0(payload)
-	}
-	if err != nil {
+	if err := d.decodeRecordsV1(payload); err != nil {
 		return nil, nil, nil, 0, err
 	}
 	return d.userTab, d.hashTab, d.recs, total, nil
@@ -507,55 +455,6 @@ func (d *Decoder) decodePayloadV1(p []byte, dst []ingest.Report) ([]ingest.Repor
 	return dst, nil
 }
 
-func (d *Decoder) decodePayloadV0(p []byte, dst []ingest.Report) ([]ingest.Report, error) {
-	if len(p) < 4 {
-		return dst, fmt.Errorf("%w: payload too short for class hash", ErrCorrupt)
-	}
-	if h := binary.LittleEndian.Uint32(p); h != d.tab.hash {
-		return dst, fmt.Errorf("%w: frame hash %#x, table hash %#x", ErrClassTable, h, d.tab.hash)
-	}
-	p = p[4:]
-	n, p, err := uvarint(p)
-	if err != nil {
-		return dst, err
-	}
-	if n > uint64(len(p)) {
-		return dst, fmt.Errorf("%w: %d records claimed in %d bytes", ErrCorrupt, n, len(p))
-	}
-	for i := range d.counts {
-		d.counts[i] = 0
-	}
-	for i := uint64(0); i < n; i++ {
-		l, rest, err := uvarint(p)
-		if err != nil {
-			return dst, err
-		}
-		if l > uint64(len(rest)) {
-			return dst, fmt.Errorf("%w: record %d user length %d overruns payload", ErrCorrupt, i, l)
-		}
-		user, _ := d.internUser(rest[:l])
-		rest = rest[l:]
-		ci, rest, err := uvarint(rest)
-		if err != nil {
-			return dst, err
-		}
-		if ci >= uint64(d.tab.Len()) {
-			return dst, fmt.Errorf("%w: record %d class index %d of %d", ErrCorrupt, i, ci, d.tab.Len())
-		}
-		if len(rest) < 8 {
-			return dst, fmt.Errorf("%w: record %d truncated volume", ErrCorrupt, i)
-		}
-		v := math.Float64frombits(binary.LittleEndian.Uint64(rest))
-		dst = append(dst, ingest.Report{User: user, Class: d.tab.names[ci], VolumeMB: v})
-		d.counts[ci]++
-		p = rest[8:]
-	}
-	if len(p) != 0 {
-		return dst, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p))
-	}
-	return dst, nil
-}
-
 // decodeRecordsV1 fills d.userTab/d.hashTab/d.recs from a v1 payload —
 // the same walk as decodePayloadV1, minus the per-record Report
 // materialization (class stays an index; volumes unpack in place).
@@ -642,76 +541,6 @@ func (d *Decoder) decodeRecordsV1(p []byte) error {
 			VolumeMB: unpackVolume(vb),
 		})
 		p = rest
-	}
-	if len(p) != 0 {
-		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p))
-	}
-	return nil
-}
-
-// decodeRecordsV0 fills d.userTab/d.hashTab/d.recs from a v0 payload,
-// building the user table on the fly (v0 has none on the wire): each
-// inline user string is deduplicated through d.v0idx so the record form
-// matches what a v1 encoder would have produced for the same batch.
-func (d *Decoder) decodeRecordsV0(p []byte) error {
-	if len(p) < 4 {
-		return fmt.Errorf("%w: payload too short for class hash", ErrCorrupt)
-	}
-	if h := binary.LittleEndian.Uint32(p); h != d.tab.hash {
-		return fmt.Errorf("%w: frame hash %#x, table hash %#x", ErrClassTable, h, d.tab.hash)
-	}
-	p = p[4:]
-	n, p, err := uvarint(p)
-	if err != nil {
-		return err
-	}
-	if n > uint64(len(p)) {
-		return fmt.Errorf("%w: %d records claimed in %d bytes", ErrCorrupt, n, len(p))
-	}
-	for i := range d.counts {
-		d.counts[i] = 0
-	}
-	if d.v0idx == nil {
-		d.v0idx = make(map[string]int32)
-	}
-	clear(d.v0idx)
-	d.userTab = d.userTab[:0]
-	d.hashTab = d.hashTab[:0]
-	d.recs = d.recs[:0]
-	for i := uint64(0); i < n; i++ {
-		l, rest, err := uvarint(p)
-		if err != nil {
-			return err
-		}
-		if l > uint64(len(rest)) {
-			return fmt.Errorf("%w: record %d user length %d overruns payload", ErrCorrupt, i, l)
-		}
-		ui, ok := d.v0idx[string(rest[:l])] // no alloc: []byte-key lookup
-		if !ok {
-			s, h := d.internUser(rest[:l])
-			ui = int32(len(d.userTab))
-			d.userTab = append(d.userTab, s)
-			d.hashTab = append(d.hashTab, h)
-			d.v0idx[s] = ui
-		}
-		rest = rest[l:]
-		ci, rest, err := uvarint(rest)
-		if err != nil {
-			return err
-		}
-		if ci >= uint64(d.tab.Len()) {
-			return fmt.Errorf("%w: record %d class index %d of %d", ErrCorrupt, i, ci, d.tab.Len())
-		}
-		if len(rest) < 8 {
-			return fmt.Errorf("%w: record %d truncated volume", ErrCorrupt, i)
-		}
-		d.recs = append(d.recs, ingest.WireRecord{
-			User:     ui,
-			Class:    int32(ci),
-			VolumeMB: math.Float64frombits(binary.LittleEndian.Uint64(rest)),
-		})
-		d.counts[ci]++
-		p = rest[8:]
 	}
 	if len(p) != 0 {
 		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p))

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 
@@ -94,61 +95,46 @@ func TestRoundTripOddVolumes(t *testing.T) {
 	}
 }
 
+// TestCrossVersion pins the one-version contract: a current frame
+// round-trips with its header class counts, and the same frame
+// re-stamped with any other version byte (CRC recomputed, so only the
+// version is wrong) is rejected by both decoders with ErrVersion.
 func TestCrossVersion(t *testing.T) {
 	tab := mustTable(t)
 	batch := sampleBatch(50)
-	for _, v := range []byte{VersionLegacy, VersionCurrent} {
-		enc := NewEncoder(tab)
-		if err := enc.SetVersion(v); err != nil {
-			t.Fatal(err)
-		}
-		frame, err := enc.Encode(batch)
-		if err != nil {
-			t.Fatalf("v%d: %v", v, err)
-		}
-		dec := NewDecoder(tab)
-		got, consumed, err := dec.Decode(frame, nil)
-		if err != nil {
-			t.Fatalf("v%d decode: %v", v, err)
-		}
-		if consumed != len(frame) || !sameReports(batch, got) {
-			t.Fatalf("v%d: round trip mismatch", v)
-		}
-		// Per-class counts must agree across versions.
-		want := make([]int64, tab.Len())
-		for _, r := range batch {
-			i, _ := tab.Index(r.Class)
-			want[i]++
-		}
-		for i, c := range dec.ClassCounts() {
-			if c != want[i] {
-				t.Fatalf("v%d: class %d count %d, want %d", v, i, c, want[i])
-			}
-		}
-	}
-	if err := NewEncoder(tab).SetVersion(9); !errors.Is(err, ErrVersion) {
-		t.Fatalf("SetVersion(9) = %v, want ErrVersion", err)
-	}
-}
-
-func TestV1SmallerThanV0(t *testing.T) {
-	tab := mustTable(t)
-	batch := sampleBatch(256)
-	e1 := NewEncoder(tab)
-	f1, err := e1.Encode(batch)
+	frame, err := NewEncoder(tab).Encode(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e0 := NewEncoder(tab)
-	if err := e0.SetVersion(VersionLegacy); err != nil {
-		t.Fatal(err)
-	}
-	f0, err := e0.Encode(batch)
+	dec := NewDecoder(tab)
+	got, consumed, err := dec.Decode(frame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f1) >= len(f0) {
-		t.Fatalf("v1 frame %d bytes not smaller than v0 %d bytes", len(f1), len(f0))
+	if consumed != len(frame) || !sameReports(batch, got) {
+		t.Fatal("round trip mismatch")
+	}
+	want := make([]int64, tab.Len())
+	for _, r := range batch {
+		i, _ := tab.Index(r.Class)
+		want[i]++
+	}
+	for i, c := range dec.ClassCounts() {
+		if c != want[i] {
+			t.Fatalf("class %d count %d, want %d", i, c, want[i])
+		}
+	}
+	for _, v := range []byte{0, 2, 255} {
+		mut := append([]byte(nil), frame...)
+		mut[2] = v
+		crcAt := len(mut) - trailerLen
+		binary.LittleEndian.PutUint32(mut[crcAt:], crc32.ChecksumIEEE(mut[:crcAt]))
+		if _, _, err := NewDecoder(tab).Decode(mut, nil); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: Decode = %v, want ErrVersion", v, err)
+		}
+		if _, _, _, _, err := NewDecoder(tab).DecodeRecords(mut); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: DecodeRecords = %v, want ErrVersion", v, err)
+		}
 	}
 }
 

@@ -3,8 +3,8 @@ package wire
 // The zero-copy apply path (DecodeRecords → Engine.ApplyWire) and the
 // classic path (Decode → RecordBatchAdmitted) are twins: these property
 // tests pin them bit-identical — same class totals, same per-user
-// totals, same subscriber delta stream — across shard counts and both
-// frame versions, and pin the fast path's zero-allocation steady state.
+// totals, same subscriber delta stream — across shard counts, and pin
+// the fast path's zero-allocation steady state.
 
 import (
 	"errors"
@@ -68,72 +68,67 @@ func TestApplyWireBitIdenticalTwin(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps := zcReports(200, 3000, 42)
-	for _, version := range []byte{VersionCurrent, VersionLegacy} {
-		for _, shards := range []int{1, 4, 16} {
-			t.Run(fmt.Sprintf("v%d/shards=%d", version, shards), func(t *testing.T) {
-				enc := NewEncoder(tab)
-				if err := enc.SetVersion(version); err != nil {
-					t.Fatal(err)
-				}
-				// Several frames per body, so the intern table crosses
-				// frame boundaries like it does on a live connection.
-				var body []byte
-				for lo := 0; lo < len(reps); lo += 512 {
-					hi := min(lo+512, len(reps))
-					body, err = enc.AppendFrame(body, reps[lo:hi])
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				ref, err := ingest.NewEngine(zcClasses, shards)
+	for _, shards := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("v%d/shards=%d", VersionCurrent, shards), func(t *testing.T) {
+			enc := NewEncoder(tab)
+			// Several frames per body, so the intern table crosses
+			// frame boundaries like it does on a live connection.
+			var body []byte
+			for lo := 0; lo < len(reps); lo += 512 {
+				hi := min(lo+512, len(reps))
+				body, err = enc.AppendFrame(body, reps[lo:hi])
 				if err != nil {
 					t.Fatal(err)
 				}
-				zc, err := ingest.NewEngine(zcClasses, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var refDeltas, zcDeltas [][]float64
-				ref.Subscribe(func(d []float64) { refDeltas = append(refDeltas, append([]float64(nil), d...)) })
-				zc.Subscribe(func(d []float64) { zcDeltas = append(zcDeltas, append([]float64(nil), d...)) })
+			}
+			ref, err := ingest.NewEngine(zcClasses, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zc, err := ingest.NewEngine(zcClasses, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var refDeltas, zcDeltas [][]float64
+			ref.Subscribe(func(d []float64) { refDeltas = append(refDeltas, append([]float64(nil), d...)) })
+			zc.Subscribe(func(d []float64) { zcDeltas = append(zcDeltas, append([]float64(nil), d...)) })
 
-				applyFrames(t, ref, NewDecoder(tab), body, false)
-				applyFrames(t, zc, NewDecoder(tab), body, true)
+			applyFrames(t, ref, NewDecoder(tab), body, false)
+			applyFrames(t, zc, NewDecoder(tab), body, true)
 
-				if got, want := zc.Accepted(), ref.Accepted(); got != want {
-					t.Fatalf("accepted %d via ApplyWire, %d via RecordBatchAdmitted", got, want)
+			if got, want := zc.Accepted(), ref.Accepted(); got != want {
+				t.Fatalf("accepted %d via ApplyWire, %d via RecordBatchAdmitted", got, want)
+			}
+			refClass, zcClass := ref.ClassTotals(), zc.ClassTotals()
+			for j := range refClass {
+				//lint:allow floateq bit-identity is the property under test
+				if zcClass[j] != refClass[j] {
+					t.Fatalf("class %d: zero-copy total %v, reference %v", j, zcClass[j], refClass[j])
 				}
-				refClass, zcClass := ref.ClassTotals(), zc.ClassTotals()
-				for j := range refClass {
+			}
+			refUser, zcUser := ref.UserTotals(), zc.UserTotals()
+			if len(refUser) != len(zcUser) {
+				t.Fatalf("zero-copy accounted %d users, reference %d", len(zcUser), len(refUser))
+			}
+			for u, want := range refUser {
+				//lint:allow floateq bit-identity is the property under test
+				if zcUser[u] != want {
+					t.Fatalf("user %s: zero-copy total %v, reference %v", u, zcUser[u], want)
+				}
+			}
+			if len(refDeltas) != len(zcDeltas) {
+				t.Fatalf("zero-copy published %d deltas, reference %d", len(zcDeltas), len(refDeltas))
+			}
+			for i := range refDeltas {
+				for j := range refDeltas[i] {
 					//lint:allow floateq bit-identity is the property under test
-					if zcClass[j] != refClass[j] {
-						t.Fatalf("class %d: zero-copy total %v, reference %v", j, zcClass[j], refClass[j])
+					if zcDeltas[i][j] != refDeltas[i][j] {
+						t.Fatalf("delta %d class %d: zero-copy %v, reference %v",
+							i, j, zcDeltas[i][j], refDeltas[i][j])
 					}
 				}
-				refUser, zcUser := ref.UserTotals(), zc.UserTotals()
-				if len(refUser) != len(zcUser) {
-					t.Fatalf("zero-copy accounted %d users, reference %d", len(zcUser), len(refUser))
-				}
-				for u, want := range refUser {
-					//lint:allow floateq bit-identity is the property under test
-					if zcUser[u] != want {
-						t.Fatalf("user %s: zero-copy total %v, reference %v", u, zcUser[u], want)
-					}
-				}
-				if len(refDeltas) != len(zcDeltas) {
-					t.Fatalf("zero-copy published %d deltas, reference %d", len(zcDeltas), len(refDeltas))
-				}
-				for i := range refDeltas {
-					for j := range refDeltas[i] {
-						//lint:allow floateq bit-identity is the property under test
-						if zcDeltas[i][j] != refDeltas[i][j] {
-							t.Fatalf("delta %d class %d: zero-copy %v, reference %v",
-								i, j, zcDeltas[i][j], refDeltas[i][j])
-						}
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -144,32 +139,26 @@ func TestDecodeRecordsHashesMatchUserHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []byte{VersionCurrent, VersionLegacy} {
-		enc := NewEncoder(tab)
-		if err := enc.SetVersion(version); err != nil {
-			t.Fatal(err)
-		}
-		body, err := enc.Encode(zcReports(50, 400, 7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		users, hashes, recs, consumed, err := NewDecoder(tab).DecodeRecords(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if consumed != len(body) {
-			t.Fatalf("v%d: consumed %d of %d bytes", version, consumed, len(body))
-		}
-		if len(users) != len(hashes) {
-			t.Fatalf("v%d: %d users, %d hashes", version, len(users), len(hashes))
-		}
-		if len(recs) != 400 {
-			t.Fatalf("v%d: %d records, want 400", version, len(recs))
-		}
-		for i, u := range users {
-			if hashes[i] != ingest.UserHash(u) {
-				t.Fatalf("v%d: user %q hash %#x, UserHash says %#x", version, u, hashes[i], ingest.UserHash(u))
-			}
+	body, err := NewEncoder(tab).Encode(zcReports(50, 400, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, hashes, recs, consumed, err := NewDecoder(tab).DecodeRecords(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if consumed != len(body) {
+		t.Fatalf("consumed %d of %d bytes", consumed, len(body))
+	}
+	if len(users) != len(hashes) {
+		t.Fatalf("%d users, %d hashes", len(users), len(hashes))
+	}
+	if len(recs) != 400 {
+		t.Fatalf("%d records, want 400", len(recs))
+	}
+	for i, u := range users {
+		if hashes[i] != ingest.UserHash(u) {
+			t.Fatalf("user %q hash %#x, UserHash says %#x", u, hashes[i], ingest.UserHash(u))
 		}
 	}
 }
