@@ -60,7 +60,6 @@ type loadConfig struct {
 	batch      int
 	jobs       int
 	shards     int
-	stream     bool
 	pprof      bool
 	metricsOut string
 	// scenario and classes parameterize the optimizer under load; nil
@@ -96,7 +95,6 @@ func run(args []string, out io.Writer) error {
 	mode := fs.String("mode", "batch", `ingestion mode: "single", "batch" or "wire"`)
 	compare := fs.Bool("compare", false, "run all modes and report the batch/single and wire/batch speedups")
 	clusterN := fs.Int("cluster", 0, "drive N clustered nodes through the consistent-hash router, with a mid-run join and leave (0 = single-node modes)")
-	stream := fs.Bool("stream", false, "attach a streaming delta subscriber to the ingest engine and verify conservation under load")
 	pprofFlag := fs.Bool("pprof", false, "mount /debug/pprof on the server under load")
 	metricsOut := fs.String("metrics-out", "", "write the final Prometheus metrics snapshot to this file (- for stdout)")
 	cfgPath := fs.String("config", "", "scenario config file (scfg format): the optimizer under load runs this workload's scenario and classes")
@@ -109,7 +107,7 @@ func run(args []string, out io.Writer) error {
 	cfg := loadConfig{
 		addr: *addr, users: *users, reports: *reports,
 		batch: *batch, jobs: *jobs, shards: *shards,
-		stream: *stream, pprof: *pprofFlag, metricsOut: *metricsOut,
+		pprof: *pprofFlag, metricsOut: *metricsOut,
 	}
 	if *cfgPath != "" {
 		sc, err := scfg.ParseFile(*cfgPath)
@@ -293,26 +291,6 @@ func runLoad(cfg loadConfig, loadMode string) (*loadResult, error) {
 	clientReg := obs.NewRegistry()
 	lat := clientReg.Histogram("tubeload_request_seconds",
 		"client-observed request latency", obs.Labels{"mode": mode}, latencyBuckets)
-	// With -stream, a live delta subscriber folds every accepted report
-	// into striped per-class adders on the recording goroutines — the
-	// same hot path the streaming profiler's consistency sketch rides —
-	// and the post-drive check verifies the folded totals match the
-	// sharded engine's authoritative sums exactly.
-	var streamed []*obs.FloatAdder
-	if cfg.stream {
-		eng := opt.Measurement()
-		streamed = make([]*obs.FloatAdder, len(eng.Classes()))
-		for j := range streamed {
-			streamed[j] = obs.NewFloatAdder()
-		}
-		eng.Subscribe(func(byClass []float64) {
-			for j, v := range byClass {
-				if v != 0 {
-					streamed[j].Add(v)
-				}
-			}
-		})
-	}
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return nil, err
@@ -411,19 +389,6 @@ func runLoad(cfg loadConfig, loadMode string) (*loadResult, error) {
 			accounted, accepted, total, cfg.users*cfg.reports)
 	}
 	verified := fmt.Sprintf("verified: %d reports, %.0f MB accounted", accepted, accounted)
-	if cfg.stream {
-		var folded float64
-		for _, a := range streamed {
-			folded += a.Value()
-		}
-		// Same exactness argument as above: integral MB sums below 2^53.
-		//lint:allow floateq integral sums below 2^53 are exact; tolerance would mask lost deltas
-		if folded != accounted {
-			return nil, fmt.Errorf("stream conservation mismatch: subscriber folded %.0f MB, engine accounted %.0f MB",
-				folded, accounted)
-		}
-		verified += fmt.Sprintf("; stream subscriber folded %.0f MB (exact match)", folded)
-	}
 
 	// One merged snapshot serves all three quantiles (and the request
 	// count) — no sorting, no per-request slice retention.

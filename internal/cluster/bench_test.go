@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tdp/internal/ingest"
 	"tdp/internal/wire"
 )
 
@@ -77,11 +78,20 @@ func BenchmarkShedQueuePush(b *testing.B) {
 	}
 	q.Start(func(Batch) {})
 	defer q.Close()
-	batch := routerReports(16, 4)
+	users := make([]string, 16)
+	hashes := make([]uint32, len(users))
+	for u := range users {
+		users[u] = fmt.Sprintf("u%05d", u)
+		hashes[u] = ingest.UserHash(users[u])
+	}
+	recs := make([]ingest.WireRecord, 64)
+	for i := range recs {
+		recs[i] = ingest.WireRecord{User: int32(i % len(users)), Class: int32(i % len(routerClasses)), VolumeMB: 1}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Push(batch)
+		q.PushWire(users, hashes, recs)
 	}
 }
 

@@ -25,8 +25,6 @@ import (
 // synchronously with QueueDepth 0 at the serving layer) and watches the
 // counters stay zero.
 type ShedQueue struct {
-	classIdx map[string]int
-
 	mu       sync.Mutex
 	cond     *sync.Cond
 	q        []Batch // guarded by mu: FIFO, q[0] oldest
@@ -41,28 +39,16 @@ type ShedQueue struct {
 	wg           sync.WaitGroup
 }
 
-// Batch is one queued unit of admitted work in either of the two
-// admission forms: the classic decoded form (Reports non-nil) or the
-// zero-copy wire form (Users/Hashes/Recs, fed to Engine.ApplyWire).
-// Exactly one form is populated per batch.
+// Batch is one queued unit of admitted work: a wire frame in
+// zero-copy form, fed to Engine.ApplyWire.
 type Batch struct {
-	Reports []ingest.Report
-
 	Users  []string
 	Hashes []uint32
 	Recs   []ingest.WireRecord
 }
 
-// Len returns the number of usage reports the batch carries.
-func (b *Batch) Len() int {
-	if b.Reports != nil {
-		return len(b.Reports)
-	}
-	return len(b.Recs)
-}
-
 // NewShedQueue builds a queue bounded to depth batches over the given
-// class set (the per-class drop accounting needs the class index).
+// class set (the per-class drop accounting is ordered as classes).
 func NewShedQueue(classes []string, depth int) (*ShedQueue, error) {
 	if depth < 1 {
 		return nil, fmt.Errorf("%w: queue depth %d < 1", ErrBadConfig, depth)
@@ -71,12 +57,8 @@ func NewShedQueue(classes []string, depth int) (*ShedQueue, error) {
 		return nil, fmt.Errorf("%w: no classes", ErrBadConfig)
 	}
 	q := &ShedQueue{
-		classIdx: make(map[string]int, len(classes)),
-		depth:    depth,
-		shed:     make([]int64, len(classes)),
-	}
-	for i, c := range classes {
-		q.classIdx[c] = i
+		depth: depth,
+		shed:  make([]int64, len(classes)),
 	}
 	q.cond = sync.NewCond(&q.mu)
 	return q, nil
@@ -99,7 +81,7 @@ func (q *ShedQueue) Start(apply func(Batch)) {
 			}
 			b := q.q[0]
 			q.q = q.q[1:]
-			q.queued -= int64(b.Len())
+			q.queued -= int64(len(b.Recs))
 			q.applying = true
 			q.mu.Unlock()
 
@@ -113,26 +95,18 @@ func (q *ShedQueue) Start(apply func(Batch)) {
 	}()
 }
 
-// Push enqueues an admitted batch, shedding the oldest queued batch if
-// the queue is full. It returns the number of reports shed to make
-// room (0 in the common case). Pushing to a closed queue sheds the
-// whole incoming batch.
-func (q *ShedQueue) Push(batch []ingest.Report) (shed int) {
-	return q.push(Batch{Reports: batch})
-}
-
-// PushWire enqueues an admitted frame in zero-copy wire form. The
-// slices are retained until the batch is applied or shed, so callers
-// handing over decoder scratch must pass copies.
+// PushWire enqueues an admitted frame in zero-copy wire form, shedding
+// the oldest queued batch if the queue is full. It returns the number
+// of reports shed to make room (0 in the common case). Pushing to a
+// closed queue sheds the whole incoming batch. The slices are retained
+// until the batch is applied or shed, so callers handing over decoder
+// scratch must pass copies.
 func (q *ShedQueue) PushWire(users []string, hashes []uint32, recs []ingest.WireRecord) (shed int) {
-	return q.push(Batch{Users: users, Hashes: hashes, Recs: recs})
-}
-
-func (q *ShedQueue) push(batch Batch) (shed int) {
-	n := batch.Len()
+	n := len(recs)
 	if n == 0 {
 		return 0
 	}
+	batch := Batch{Users: users, Hashes: hashes, Recs: recs}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -142,9 +116,9 @@ func (q *ShedQueue) push(batch Batch) (shed int) {
 	if len(q.q) >= q.depth {
 		old := q.q[0]
 		q.q = q.q[1:]
-		q.queued -= int64(old.Len())
+		q.queued -= int64(len(old.Recs))
 		q.countShedLocked(&old)
-		shed = old.Len()
+		shed = len(old.Recs)
 	}
 	q.q = append(q.q, batch)
 	q.queued += int64(n)
@@ -154,20 +128,6 @@ func (q *ShedQueue) push(batch Batch) (shed int) {
 
 // countShedLocked tallies a dropped batch per class. Guarded by mu.
 func (q *ShedQueue) countShedLocked(batch *Batch) {
-	if batch.Reports != nil {
-		for i := range batch.Reports {
-			ci, ok := q.classIdx[batch.Reports[i].Class]
-			if !ok {
-				continue // unknown class would be rejected by the engine anyway
-			}
-			q.shed[ci]++
-			if q.shedCounters != nil {
-				q.shedCounters[ci].Inc()
-			}
-		}
-		q.shedTot += int64(len(batch.Reports))
-		return
-	}
 	for i := range batch.Recs {
 		ci := int(batch.Recs[i].Class) // wire class indexes match the constructor's class order
 		if ci < 0 || ci >= len(q.shed) {

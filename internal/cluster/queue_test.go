@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,13 +15,18 @@ import (
 
 var queueClasses = []string{"web", "ftp", "video"}
 
-func qBatch(user string, class string, n int) []ingest.Report {
-	b := make([]ingest.Report, n)
-	for i := range b {
-		b[i] = ingest.Report{User: user, Class: class, VolumeMB: 1}
+// qPush pushes one wire batch of n 1-MB records for user in class
+// (an index into queueClasses) and returns the reports shed.
+func qPush(q *ShedQueue, user string, class, n int) int {
+	recs := make([]ingest.WireRecord, n)
+	for i := range recs {
+		recs[i] = ingest.WireRecord{User: 0, Class: int32(class), VolumeMB: 1}
 	}
-	return b
+	return q.PushWire([]string{user}, []uint32{ingest.UserHash(user)}, recs)
 }
+
+// firstUser names the user of a queued batch's first record.
+func firstUser(b Batch) string { return b.Users[b.Recs[0].User] }
 
 func TestShedQueueValidation(t *testing.T) {
 	if _, err := NewShedQueue(queueClasses, 0); !errors.Is(err, ErrBadConfig) {
@@ -40,11 +46,11 @@ func TestShedQueueFIFOAndDrain(t *testing.T) {
 	var applied []string
 	q.Start(func(b Batch) {
 		mu.Lock()
-		applied = append(applied, b.Reports[0].User)
+		applied = append(applied, firstUser(b))
 		mu.Unlock()
 	})
 	for i := 0; i < 10; i++ {
-		if shed := q.Push(qBatch(fmt.Sprintf("u%02d", i), "web", 3)); shed != 0 {
+		if shed := qPush(q, fmt.Sprintf("u%02d", i), 0, 3); shed != 0 {
 			t.Fatalf("push %d shed %d reports below capacity", i, shed)
 		}
 	}
@@ -76,13 +82,13 @@ func TestShedOldest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No worker started: pushes pile up and the third must shed the first.
-	if shed := q.Push(qBatch("old", "web", 5)); shed != 0 {
+	if shed := qPush(q, "old", 0, 5); shed != 0 {
 		t.Fatalf("first push shed %d", shed)
 	}
-	if shed := q.Push(qBatch("mid", "ftp", 3)); shed != 0 {
+	if shed := qPush(q, "mid", 1, 3); shed != 0 {
 		t.Fatalf("second push shed %d", shed)
 	}
-	if shed := q.Push(qBatch("new", "video", 2)); shed != 5 {
+	if shed := qPush(q, "new", 2, 2); shed != 5 {
 		t.Fatalf("overflow push shed %d reports, want the oldest batch's 5", shed)
 	}
 	total, byClass := q.ShedTotals()
@@ -97,7 +103,7 @@ func TestShedOldest(t *testing.T) {
 	var order []string
 	q.Start(func(b Batch) {
 		mu.Lock()
-		order = append(order, b.Reports[0].User)
+		order = append(order, firstUser(b))
 		mu.Unlock()
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -118,11 +124,11 @@ func TestShedQueueInstrument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Push(qBatch("a", "ftp", 4))
-	q.Push(qBatch("b", "web", 1)) // sheds the ftp batch pre-instrumentation
+	qPush(q, "a", 1, 4)
+	qPush(q, "b", 0, 1) // sheds the ftp batch pre-instrumentation
 	reg := obs.NewRegistry()
 	q.Instrument(reg, queueClasses)
-	q.Push(qBatch("c", "web", 1)) // sheds the web batch post-instrumentation
+	qPush(q, "c", 0, 1) // sheds the web batch post-instrumentation
 	if got := reg.Counter("cluster_shed_reports_total", "", obs.Labels{"class": "ftp"}).Value(); got != 4 {
 		t.Fatalf("ftp shed counter %d, want 4 (back-filled)", got)
 	}
@@ -138,7 +144,7 @@ func TestShedQueueCloseShedsLatePushes(t *testing.T) {
 	}
 	q.Start(func(Batch) {})
 	q.Close()
-	if shed := q.Push(qBatch("late", "web", 3)); shed != 3 {
+	if shed := qPush(q, "late", 0, 3); shed != 3 {
 		t.Fatalf("push after close shed %d, want 3", shed)
 	}
 }
@@ -148,22 +154,17 @@ func TestShedQueueConcurrentPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied := obs.NewFloatAdder()
-	q.Start(func(b Batch) {
-		for range b.Reports {
-			applied.Add(1)
-		}
-	})
+	var applied, shedTotal atomic.Int64
+	q.Start(func(b Batch) { applied.Add(int64(len(b.Recs))) })
 	var wg sync.WaitGroup
-	shedTotal := obs.NewFloatAdder()
 	const workers, pushes, per = 8, 50, 4
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < pushes; i++ {
-				shed := q.Push(qBatch(fmt.Sprintf("w%d-%d", w, i), queueClasses[i%3], per))
-				shedTotal.Add(float64(shed))
+				shed := qPush(q, fmt.Sprintf("w%d-%d", w, i), i%3, per)
+				shedTotal.Add(int64(shed))
 			}
 		}(w)
 	}
@@ -175,14 +176,12 @@ func TestShedQueueConcurrentPush(t *testing.T) {
 	}
 	q.Close()
 	// Conservation: everything pushed was either applied or shed.
-	want := float64(workers * pushes * per)
+	const want = workers * pushes * per
 	counted, _ := q.ShedTotals()
-	//lint:allow floateq integral counts below 2^53 are exact
-	if applied.Value()+float64(counted) != want {
-		t.Fatalf("applied %.0f + shed %d != pushed %.0f", applied.Value(), counted, want)
+	if applied.Load()+counted != want {
+		t.Fatalf("applied %d + shed %d != pushed %d", applied.Load(), counted, want)
 	}
-	//lint:allow floateq integral counts below 2^53 are exact
-	if shedTotal.Value() != float64(counted) {
-		t.Fatalf("Push-returned sheds %.0f, counters say %d", shedTotal.Value(), counted)
+	if shedTotal.Load() != counted {
+		t.Fatalf("PushWire-returned sheds %d, counters say %d", shedTotal.Load(), counted)
 	}
 }

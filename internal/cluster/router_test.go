@@ -62,7 +62,7 @@ func (s *memSender) SendWire(_ context.Context, node Member, body []byte) (WireA
 			rejected = append(rejected, i)
 		}
 	}
-	if err := n.eng.RecordBatchAdmitted(owned); err != nil {
+	if err := n.eng.RecordBatch(owned); err != nil {
 		return WireAck{}, err
 	}
 	return WireAck{Accepted: len(owned), Rejected: rejected, RingVersion: ring.Version()}, nil

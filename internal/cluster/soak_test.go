@@ -12,8 +12,7 @@ import (
 )
 
 // TestShedQueueSustainedOverloadConservation soaks the queue with many
-// concurrent producers pushing far past the drain rate, mixing both
-// admission forms, and pins the conservation invariant that makes shed
+// concurrent producers pushing far past the drain rate, and pins the conservation invariant that makes shed
 // accounting trustworthy: every report pushed is either applied or
 // counted shed — applied + shed == pushed, with the per-class split
 // summing to the shed total.
@@ -29,11 +28,8 @@ func TestShedQueueSustainedOverloadConservation(t *testing.T) {
 	q.Start(func(b Batch) {
 		// A slow consumer: the producers outrun this by construction.
 		time.Sleep(200 * time.Microsecond)
-		applied.Add(int64(b.Len()))
+		applied.Add(int64(len(b.Recs)))
 		abcMu.Lock()
-		for i := range b.Reports {
-			appliedByClass[q.classIdx[b.Reports[i].Class]]++
-		}
 		for i := range b.Recs {
 			appliedByClass[b.Recs[i].Class]++
 		}
@@ -48,31 +44,19 @@ func TestShedQueueSustainedOverloadConservation(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for b := 0; b < batchesPer; b++ {
-				if p%2 == 0 {
-					reps := make([]ingest.Report, perBatch)
-					for i := range reps {
-						reps[i] = ingest.Report{
-							User:     fmt.Sprintf("u%d-%d", p, i),
-							Class:    classes[(p+b+i)%len(classes)],
-							VolumeMB: 1,
-						}
+				users := make([]string, perBatch)
+				hashes := make([]uint32, perBatch)
+				recs := make([]ingest.WireRecord, perBatch)
+				for i := range recs {
+					users[i] = fmt.Sprintf("w%d-%d", p, i)
+					hashes[i] = ingest.UserHash(users[i])
+					recs[i] = ingest.WireRecord{
+						User:     int32(i),
+						Class:    int32((p + b + i) % len(classes)),
+						VolumeMB: 1,
 					}
-					shedAtPush.Add(int64(q.Push(reps)))
-				} else {
-					users := make([]string, perBatch)
-					hashes := make([]uint32, perBatch)
-					recs := make([]ingest.WireRecord, perBatch)
-					for i := range recs {
-						users[i] = fmt.Sprintf("w%d-%d", p, i)
-						hashes[i] = ingest.UserHash(users[i])
-						recs[i] = ingest.WireRecord{
-							User:     int32(i),
-							Class:    int32((p + b + i) % len(classes)),
-							VolumeMB: 1,
-						}
-					}
-					shedAtPush.Add(int64(q.PushWire(users, hashes, recs)))
 				}
+				shedAtPush.Add(int64(q.PushWire(users, hashes, recs)))
 				pushed.Add(perBatch)
 			}
 		}(p)
@@ -90,7 +74,7 @@ func TestShedQueueSustainedOverloadConservation(t *testing.T) {
 		t.Fatal("soak never overloaded the queue — the test proves nothing")
 	}
 	if got := shedAtPush.Load(); got != shedTot {
-		t.Fatalf("Push return values counted %d shed, ShedTotals says %d", got, shedTot)
+		t.Fatalf("PushWire return values counted %d shed, ShedTotals says %d", got, shedTot)
 	}
 	var classSum int64
 	for _, n := range byClass {
@@ -129,15 +113,12 @@ func TestShedQueueShedsOldestNeverNewest(t *testing.T) {
 	q.Start(func(b Batch) {
 		<-gate // hold the worker so pushes pile up deterministically
 		mu.Lock()
-		appliedSeq = append(appliedSeq, b.Reports[0].User)
+		appliedSeq = append(appliedSeq, firstUser(b))
 		mu.Unlock()
 	})
 
-	batch := func(tag string) []ingest.Report {
-		return []ingest.Report{{User: tag, Class: "web", VolumeMB: 1}}
-	}
 	// b0 is grabbed by the (blocked) worker; b1, b2 fill the queue.
-	if shed := q.Push(batch("b0")); shed != 0 {
+	if shed := qPush(q, "b0", 0, 1); shed != 0 {
 		t.Fatalf("push b0 shed %d", shed)
 	}
 	// Wait for the worker to take b0 off the queue.
@@ -146,13 +127,13 @@ func TestShedQueueShedsOldestNeverNewest(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for _, tag := range []string{"b1", "b2"} {
-		if shed := q.Push(batch(tag)); shed != 0 {
+		if shed := qPush(q, tag, 0, 1); shed != 0 {
 			t.Fatalf("push %s shed %d with queue not yet full", tag, shed)
 		}
 	}
 	// Queue full: each further push sheds exactly the current oldest.
 	for _, tag := range []string{"b3", "b4", "b5"} {
-		if shed := q.Push(batch(tag)); shed != 1 {
+		if shed := qPush(q, tag, 0, 1); shed != 1 {
 			t.Fatalf("push %s on a full queue shed %d reports, want 1", tag, shed)
 		}
 	}

@@ -73,7 +73,6 @@ type Engine struct {
 	shards   []shard
 	mask     uint32
 	met      atomic.Pointer[engineMetrics] // nil until Instrument
-	sub      subscriptions                 // delta subscribers (see subscribe.go)
 	filter   atomic.Pointer[FilterFunc]    // nil until SetFilter: cluster ownership hook
 	wirePool wireWSHolder                  // ApplyWire grouping workspaces (see wireapply.go)
 }
@@ -85,11 +84,10 @@ type FilterFunc func(user string) bool
 // SetFilter installs (or, with nil, removes) an ownership filter applied
 // to externally submitted reports: Record and RecordBatch reject reports
 // whose user the filter disowns with an error wrapping ErrNotOwned.
-// RecordBatchAdmitted bypasses the filter for batches whose ownership
-// the cluster layer already checked at admission — once a node has
-// acknowledged a batch it must account it even if the ring has since
-// moved the users, or a rebalance would silently lose acknowledged
-// reports.
+// ApplyWire bypasses the filter for frames whose ownership the cluster
+// layer already checked at admission — once a node has acknowledged a
+// frame it must account it even if the ring has since moved the users,
+// or a rebalance would silently lose acknowledged reports.
 func (e *Engine) SetFilter(f FilterFunc) {
 	if f == nil {
 		e.filter.Store(nil)
@@ -179,14 +177,13 @@ func (e *Engine) shardIdxFor(user string) int {
 	return int(UserHash(user) & e.mask)
 }
 
-// validate checks one report and resolves its class index.
-func (e *Engine) validate(r *Report) (int, error) {
-	return e.validateIn(r, true)
-}
+// validVolume is the one volume rule of every ingest path: finite and
+// non-negative (NaN fails both comparisons).
+func validVolume(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
-// validateIn checks one report, optionally enforcing the ownership
-// filter (admission-checked cluster batches skip it).
-func (e *Engine) validateIn(r *Report, enforceOwner bool) (int, error) {
+// validate checks one report, including the ownership filter, and
+// resolves its class index.
+func (e *Engine) validate(r *Report) (int, error) {
 	if r.User == "" {
 		return 0, fmt.Errorf("empty user: %w", ErrBadReport)
 	}
@@ -194,13 +191,11 @@ func (e *Engine) validateIn(r *Report, enforceOwner bool) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("unknown class %q: %w", r.Class, ErrBadReport)
 	}
-	if r.VolumeMB < 0 || math.IsNaN(r.VolumeMB) {
+	if !validVolume(r.VolumeMB) {
 		return 0, fmt.Errorf("bad volume %v: %w", r.VolumeMB, ErrBadReport)
 	}
-	if enforceOwner {
-		if f := e.filter.Load(); f != nil && !(*f)(r.User) {
-			return 0, fmt.Errorf("user %q: %w", r.User, ErrNotOwned)
-		}
+	if f := e.filter.Load(); f != nil && !(*f)(r.User) {
+		return 0, fmt.Errorf("user %q: %w", r.User, ErrNotOwned)
 	}
 	return idx, nil
 }
@@ -222,7 +217,6 @@ func (e *Engine) Record(user, class string, volumeMB float64) error {
 	if m := e.metrics(); m != nil {
 		m.records.Inc()
 	}
-	e.notifyReport(idx, volumeMB)
 	return nil
 }
 
@@ -242,24 +236,12 @@ func (s *shard) apply(user string, classIdx int, volumeMB float64, nClasses int)
 // the batch is rejected and NOTHING is applied, so a client retrying a
 // failed batch cannot double-count its valid prefix.
 func (e *Engine) RecordBatch(reports []Report) error {
-	return e.recordBatch(reports, true)
-}
-
-// RecordBatchAdmitted accounts a batch whose ownership was already
-// checked by the cluster admission layer: the ownership filter is
-// bypassed (see SetFilter), all other validation is identical to
-// RecordBatch. Use only for reports this node has acknowledged.
-func (e *Engine) RecordBatchAdmitted(reports []Report) error {
-	return e.recordBatch(reports, false)
-}
-
-func (e *Engine) recordBatch(reports []Report, enforceOwner bool) error {
 	if len(reports) == 0 {
 		return nil
 	}
 	idxs := make([]int32, len(reports))
 	for i := range reports {
-		idx, err := e.validateIn(&reports[i], enforceOwner)
+		idx, err := e.validate(&reports[i])
 		if err != nil {
 			// All-or-nothing: the whole batch is rejected, so the whole
 			// batch counts as rejected.
@@ -287,7 +269,6 @@ func (e *Engine) recordBatch(reports []Report, enforceOwner bool) error {
 			m.records.Add(int64(len(reports)))
 			m.batches.Inc()
 		}
-		e.notifyBatch(reports, idxs)
 		return nil
 	}
 	// Group report indices by shard, preserving submission order within
@@ -316,7 +297,6 @@ func (e *Engine) recordBatch(reports []Report, enforceOwner bool) error {
 		m.records.Add(int64(len(reports)))
 		m.batches.Inc()
 	}
-	e.notifyBatch(reports, idxs)
 	return nil
 }
 

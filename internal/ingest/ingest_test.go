@@ -56,6 +56,53 @@ func TestRecordValidation(t *testing.T) {
 	}
 }
 
+// TestInfiniteVolumeRejected: one volume rule (finite, non-negative)
+// holds on every ingest path. An accepted +Inf would reach the period
+// totals, the online price engine's demand row and the bill.
+func TestInfiniteVolumeRejected(t *testing.T) {
+	for _, v := range []float64{math.Inf(1), math.Inf(-1)} {
+		e, _ := NewEngine(classes3(), 4)
+		if err := e.Record("u", "web", v); !errors.Is(err, ErrBadReport) {
+			t.Errorf("Record(%v): err = %v, want ErrBadReport", v, err)
+		}
+		batch := []Report{{User: "a", Class: "web", VolumeMB: 1}, {User: "b", Class: "ftp", VolumeMB: v}}
+		if err := e.RecordBatch(batch); !errors.Is(err, ErrBadReport) {
+			t.Errorf("RecordBatch(%v): err = %v, want ErrBadReport", v, err)
+		}
+		recs := []WireRecord{{User: 0, Class: 0, VolumeMB: 1}, {User: 1, Class: 1, VolumeMB: v}}
+		users := []string{"a", "b"}
+		if err := e.CheckWire(users, recs); !errors.Is(err, ErrBadReport) {
+			t.Errorf("CheckWire(%v): err = %v, want ErrBadReport", v, err)
+		}
+		if err := e.ApplyWire(users, nil, recs); !errors.Is(err, ErrBadReport) {
+			t.Errorf("ApplyWire(%v): err = %v, want ErrBadReport", v, err)
+		}
+		if n := e.Accepted(); n != 0 {
+			t.Errorf("volume %v: %d reports accounted, want 0", v, n)
+		}
+	}
+}
+
+// TestRecordWarmAllocs pins the single-report hot path: a warm Record
+// (user and shard map entry already present) allocates nothing.
+func TestRecordWarmAllocs(t *testing.T) {
+	e, err := NewEngine(classes3(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Record("alice", "web", 1); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := e.Record("alice", "web", 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("warm Record allocates %.1f per call, want 0", allocs)
+	}
+}
+
 func TestAccounting(t *testing.T) {
 	e, err := NewEngine(classes3(), 8)
 	if err != nil {

@@ -14,7 +14,6 @@ type engineMetrics struct {
 	records  *obs.Counter // reports accepted (single + batch)
 	batches  *obs.Counter // batches accepted
 	rejected *obs.Counter // reports rejected by validation
-	deltas   *obs.Counter // delta notifications delivered to subscribers
 }
 
 // Instrument registers the engine's counters and per-shard gauges on
@@ -27,7 +26,6 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		records:  reg.Counter("ingest_reports_total", "usage reports accepted", nil),
 		batches:  reg.Counter("ingest_batches_total", "usage batches accepted", nil),
 		rejected: reg.Counter("ingest_reports_rejected_total", "usage reports rejected by validation", nil),
-		deltas:   reg.Counter("ingest_deltas_total", "per-class delta notifications delivered to subscribers", nil),
 	}
 	e.met.Store(m)
 	for i := range e.shards {

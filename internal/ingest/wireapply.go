@@ -21,13 +21,12 @@
 //
 // The fold preserves the per-(user, class) accumulation order of the
 // record stream, so the resulting counters are bit-identical to
-// RecordBatchAdmitted fed the decoded equivalent — pinned by the
-// property tests in internal/wire.
+// RecordBatch fed the decoded equivalent on an engine with no ownership
+// filter — pinned by the property tests in internal/wire.
 package ingest
 
 import (
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -83,10 +82,10 @@ func growI32(s []int32, n int) []int32 {
 
 // ApplyWire folds one decoded wire frame straight into the shard
 // counters without materializing a []Report: users is the frame's
-// (interned) user table, recs its records in frame-index form. Like
-// RecordBatchAdmitted, the ownership filter is bypassed — callers have
-// already admitted the frame — and validation is all-or-nothing: on any
-// invalid record NOTHING is applied.
+// (interned) user table, recs its records in frame-index form. The
+// ownership filter is bypassed — callers have already admitted the
+// frame — and validation (CheckWire) is all-or-nothing: on any invalid
+// record NOTHING is applied.
 //
 // hashes, when non-nil, must be the UserHash of each table entry
 // (hashes[i] == UserHash(users[i])); the wire decoder caches these in
@@ -101,30 +100,15 @@ func (e *Engine) ApplyWire(users []string, hashes []uint32, recs []WireRecord) e
 	if hashes != nil && len(hashes) != len(users) {
 		return fmt.Errorf("user table %d entries, %d hashes: %w", len(users), len(hashes), ErrBadReport)
 	}
-	nU, nC := len(users), len(e.classes)
-	reject := func(err error) error {
+	// All-or-nothing validation before any shard is touched: a retried
+	// frame cannot double-count its valid prefix.
+	if err := e.CheckWire(users, recs); err != nil {
 		if m := e.metrics(); m != nil {
 			m.rejected.Add(int64(len(recs)))
 		}
 		return err
 	}
-	// All-or-nothing validation before any shard is touched: a retried
-	// frame cannot double-count its valid prefix.
-	for i := range recs {
-		r := &recs[i]
-		if r.User < 0 || int(r.User) >= nU {
-			return reject(fmt.Errorf("record %d user index %d of %d: %w", i, r.User, nU, ErrBadReport))
-		}
-		if users[r.User] == "" {
-			return reject(fmt.Errorf("record %d empty user: %w", i, ErrBadReport))
-		}
-		if r.Class < 0 || int(r.Class) >= nC {
-			return reject(fmt.Errorf("record %d class index %d of %d: %w", i, r.Class, nC, ErrBadReport))
-		}
-		if r.VolumeMB < 0 || math.IsNaN(r.VolumeMB) {
-			return reject(fmt.Errorf("record %d bad volume %v: %w", i, r.VolumeMB, ErrBadReport))
-		}
-	}
+	nU, nC := len(users), len(e.classes)
 
 	ws := e.wireWS()
 	// Per-user record chains, built in reverse so iteration yields each
@@ -185,6 +169,30 @@ func (e *Engine) ApplyWire(users []string, hashes []uint32, recs []WireRecord) e
 		m.records.Add(int64(len(recs)))
 		m.batches.Inc()
 	}
-	e.notifyWire(recs)
+	return nil
+}
+
+// CheckWire validates a frame's records against its user table and this
+// engine's classes, with the same volume rule as Record: every user
+// index in range and naming a non-empty user, every class index in
+// range, every volume finite and non-negative. Serving layers call it
+// before acknowledging a frame they will apply later.
+func (e *Engine) CheckWire(users []string, recs []WireRecord) error {
+	nU, nC := len(users), len(e.classes)
+	for i := range recs {
+		r := &recs[i]
+		if r.User < 0 || int(r.User) >= nU {
+			return fmt.Errorf("record %d user index %d of %d: %w", i, r.User, nU, ErrBadReport)
+		}
+		if users[r.User] == "" {
+			return fmt.Errorf("record %d empty user: %w", i, ErrBadReport)
+		}
+		if r.Class < 0 || int(r.Class) >= nC {
+			return fmt.Errorf("record %d class index %d of %d: %w", i, r.Class, nC, ErrBadReport)
+		}
+		if !validVolume(r.VolumeMB) {
+			return fmt.Errorf("record %d bad volume %v: %w", i, r.VolumeMB, ErrBadReport)
+		}
+	}
 	return nil
 }

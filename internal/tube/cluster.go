@@ -112,10 +112,6 @@ func (s *Server) EnableCluster(opts ClusterOptions) error {
 	q.Start(func(batch cluster.Batch) {
 		// Admission (ownership, validity) happened before the ack; a ring
 		// move while the batch sat queued must not un-account it.
-		if batch.Reports != nil {
-			_ = eng.RecordBatchAdmitted(batch.Reports)
-			return
-		}
 		_ = eng.ApplyWire(batch.Users, batch.Hashes, batch.Recs)
 	})
 	// The JSON ingest paths enforce ownership per the CURRENT ring view;
@@ -247,17 +243,24 @@ func (s *Server) handleUsageWire(w http.ResponseWriter, r *http.Request) {
 	defer cl.decPool.Put(dec)
 	// Zero-copy admission: each frame is walked in its own terms (user
 	// table + index records) without materializing []ingest.Report.
-	// Ownership is enforced against this node's CURRENT ring view — once
-	// per DISTINCT user via the decoder's cached hashes, not once per
-	// record — and misrouted reports are rejected by index (spanning all
-	// frames in the body), never silently accepted; the ack's RingVersion
-	// tells a stale router to refetch.
+	// Every frame is validated (CheckWire) before anything is queued, so
+	// a body answered 400 leaves nothing behind, and an acked batch is
+	// one the queue worker will apply. Ownership is enforced against
+	// this node's CURRENT ring view — once per DISTINCT user via the
+	// decoder's cached hashes, not once per record — and misrouted
+	// reports are rejected by index (spanning all frames in the body),
+	// never silently accepted; the ack's RingVersion tells a stale router
+	// to refetch.
 	ring := cl.ring.Load()
-	accepted, shed := 0, 0
+	eng := s.opt.Measurement()
+	var admitted []cluster.Batch
 	var rejected []int
 	base := 0 // report index of the current frame's first record
 	for buf := body; len(buf) > 0; {
 		users, hashes, recs, n, err := dec.DecodeRecords(buf)
+		if err == nil {
+			err = eng.CheckWire(users, recs)
+		}
 		if err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, wire.ErrTooLarge) {
@@ -290,13 +293,18 @@ func (s *Server) handleUsageWire(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if len(owned) > 0 {
-			shed += cl.queue.PushWire(
-				append([]string(nil), users...),
-				append([]uint32(nil), hashes...),
-				owned)
-			accepted += len(owned)
+			admitted = append(admitted, cluster.Batch{
+				Users:  append([]string(nil), users...),
+				Hashes: append([]uint32(nil), hashes...),
+				Recs:   owned,
+			})
 		}
 		base += len(recs)
+	}
+	accepted, shed := 0, 0
+	for _, b := range admitted {
+		shed += cl.queue.PushWire(b.Users, b.Hashes, b.Recs)
+		accepted += len(b.Recs)
 	}
 	cl.wireReports.Add(int64(accepted))
 	cl.wireRejected.Add(int64(len(rejected)))

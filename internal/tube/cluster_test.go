@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -409,11 +410,9 @@ func TestClusterLoadShedding(t *testing.T) {
 	if err := srv.EnableCluster(ClusterOptions{SelfID: "n0", Ring: cfg, QueueDepth: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Stall the drain worker by flooding faster than it can apply is
-	// racy; instead push through the handler with the worker intact but
-	// the queue depth at 1 — the second in-flight batch evicts the
-	// first often enough only under real stall, so stop the worker
-	// deterministically via Close and use Push directly.
+	// Stalling the drain worker deterministically is racy, so push
+	// through the handler with the worker intact and the queue depth at
+	// 1: how often a batch evicts its predecessor depends on timing.
 	tab, err := wire.NewClassTable(testClasses())
 	if err != nil {
 		t.Fatal(err)
@@ -464,6 +463,84 @@ func TestClusterLoadShedding(t *testing.T) {
 	}
 	if classSum != shed {
 		t.Fatalf("per-class shed %d != total %d", classSum, shed)
+	}
+}
+
+// TestClusterWireRejectsBadVolumes: POST /usage/wire validates every
+// record before it acks. A frame carrying a negative or infinite volume
+// is answered 400 with nothing queued, so the router sees the error
+// instead of an ack for reports the engine would later drop; a body
+// whose first frame is valid and whose second is not (bad volume or
+// undecodable) queues neither.
+func TestClusterWireRejectsBadVolumes(t *testing.T) {
+	nodes, cfg := startCluster(t, 1, 16)
+	nd := nodes[0]
+	ring, err := cluster.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := wire.NewClassTable(testClasses())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := cluster.NewRouter(tab, ring, &cluster.HTTPSender{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := ingest.Report{User: "alice", Class: "web", VolumeMB: 4}
+	for _, v := range []float64{-1, math.Inf(1)} {
+		bad := ingest.Report{User: "bob", Class: "ftp", VolumeMB: v}
+		if _, err := rt.Send(context.Background(), []ingest.Report{good, bad}); err == nil {
+			t.Errorf("volume %v: router Send acked a frame the node cannot apply", v)
+		}
+		enc := wire.NewEncoder(tab)
+		body, err := enc.AppendFrame(nil, []ingest.Report{good})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body, err = enc.AppendFrame(body, []ingest.Report{bad}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(nd.ts.URL+"/usage/wire", cluster.WireContentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("volume %v in the second frame: status %d, want 400", v, resp.StatusCode)
+		}
+	}
+	// A second frame that does not decode (CRC broken) also fails the
+	// whole body, valid first frame included.
+	frame, err := wire.NewEncoder(tab).Encode([]ingest.Report{good})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(append([]byte(nil), frame...), frame...)
+	body[len(body)-1] ^= 0xff
+	resp, err := http.Post(nd.ts.URL+"/usage/wire", cluster.WireContentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("corrupt second frame: status %d, want 400", resp.StatusCode)
+	}
+	drainClusterQueues(t, nodes)
+	if n := nd.opt.Measurement().Accepted(); n != 0 {
+		t.Errorf("rejected bodies left %d reports accounted, want 0", n)
+	}
+	if shed := nd.srv.ShedReports(); shed != 0 {
+		t.Errorf("rejected bodies shed %d reports", shed)
+	}
+	// The same node still acks and applies a valid frame.
+	stats, err := rt.Send(context.Background(), []ingest.Report{good})
+	if err != nil || stats.Reports != 1 {
+		t.Fatalf("valid frame: stats %+v, err %v", stats, err)
+	}
+	drainClusterQueues(t, nodes)
+	if n := nd.opt.Measurement().Accepted(); n != 1 {
+		t.Errorf("valid frame: %d reports accounted, want 1", n)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"tdp/internal/core"
-	"tdp/internal/mechanism"
 	"tdp/internal/obs"
 	"tdp/internal/optimize"
 )
@@ -38,9 +37,6 @@ type Controller struct {
 	// coldPlanEvals is the evaluation count of the first (cold) plan, the
 	// baseline for the evals-saved metric.
 	coldPlanEvals int // guarded by mu
-	// lastUsage is the most recent closed day's per-period usage totals,
-	// handed to a configured pricing mechanism as its observation.
-	lastUsage []float64 // guarded by mu
 }
 
 // ControllerConfig describes the deployment.
@@ -56,8 +52,6 @@ type ControllerConfig struct {
 	Capacity      []float64
 	Cost          core.CostFunc
 	MaxRewardNorm float64
-	// UseDynamic selects the carry-over model.
-	UseDynamic bool
 	// MinObservations gates re-estimation: the profiler must hold at
 	// least this many days of data before its estimates replace the
 	// prior (default 2 — a single day is rarely identifying).
@@ -65,12 +59,6 @@ type ControllerConfig struct {
 	// EstimationIter caps the LM iterations per re-estimation (default
 	// 150; the day-batch fit starts from scratch each day).
 	EstimationIter int
-	// Pricer, when set, replaces the optimizing day plan with a pricing
-	// mechanism from the zoo: PlanDay delegates to the mechanism under
-	// the *current patience belief* and the last closed day's usage
-	// totals, so profiling keeps improving every mechanism's model of
-	// the users, not just TDP's. When nil, the paper's solver plans.
-	Pricer mechanism.Pricer
 }
 
 // DayReport summarizes one closed day of the control loop.
@@ -176,56 +164,22 @@ func (c *Controller) PlanDay() ([]float64, error) {
 
 // planLocked is PlanDay's body. Callers must hold c.mu.
 func (c *Controller) planLocked() ([]float64, error) {
-	if c.cfg.Pricer != nil {
-		return c.planMechanismLocked()
-	}
-	scn := c.scenario()
 	warm := c.lastRewards != nil
 	var opts []optimize.Option
 	if warm {
 		opts = append(opts, optimize.WithWarmStart(c.lastRewards))
 	}
-	var (
-		pr  *core.Pricing
-		err error
-	)
-	if c.cfg.UseDynamic {
-		var m *core.DynamicModel
-		if m, err = core.NewDynamicModel(scn); err == nil {
-			pr, err = m.Solve(opts...)
-		}
-	} else {
-		var m *core.StaticModel
-		if m, err = core.NewStaticModel(scn); err == nil {
-			pr, err = m.Solve(opts...)
-		}
+	m, err := core.NewStaticModel(c.scenario())
+	if err != nil {
+		return nil, badInput(err)
 	}
+	pr, err := m.Solve(opts...)
 	if err != nil {
 		return nil, badInput(err)
 	}
 	c.recordPlan(pr, warm)
 	c.lastRewards = append([]float64(nil), pr.Rewards...)
 	return pr.Rewards, nil
-}
-
-// planMechanismLocked delegates the day plan to the configured pricing
-// mechanism, under the current patience belief and the last closed
-// day's usage totals. Callers must hold c.mu.
-func (c *Controller) planMechanismLocked() ([]float64, error) {
-	scn := c.scenario()
-	var ob *mechanism.Observation
-	if c.lastUsage != nil {
-		ob = &mechanism.Observation{Usage: append([]float64(nil), c.lastUsage...)}
-	}
-	rewards, err := mechanism.Plan(c.cfg.Pricer, scn, ob)
-	if err != nil {
-		return nil, badInput(err)
-	}
-	c.lastRewards = append([]float64(nil), rewards...)
-	obs.Default().Counter("controller_mechanism_plans_total",
-		"mechanism day plans published, by mechanism",
-		obs.Labels{"mechanism": c.cfg.Pricer.Name()}).Inc()
-	return rewards, nil
 }
 
 // recordPlan publishes one day-plan solve to the default registry, keyed
@@ -295,7 +249,6 @@ func (c *Controller) observeDay(ctx context.Context, rewards []float64, usage []
 		}
 		report.CongestionCost += c.cfg.Cost.Value(report.UsageTotals[i] - c.cfg.Capacity[i])
 	}
-	c.lastUsage = append(c.lastUsage[:0], report.UsageTotals...)
 	obsSpan.End()
 	if c.profiler.ObservationCount() >= c.cfg.MinObservations {
 		_, estSpan := obs.StartSpan(ctx, "profile.estimate")

@@ -127,85 +127,9 @@ func TestOptimizerMechanismObservationShiftsPlan(t *testing.T) {
 	}
 }
 
-func TestControllerWithMechanism(t *testing.T) {
-	scn := testScenario()
-	for _, name := range []string{"static-tod", "rebate", "reverse", "tdp"} {
-		t.Run(name, func(t *testing.T) {
-			params := mechanism.Params{}
-			if name == "static-tod" {
-				params.Windows = mechanism.SlackWindows(scn, 0.7)
-			}
-			ctrl, err := NewController(ControllerConfig{
-				Demand:       scn.Demand,
-				Classes:      testClasses(),
-				InitialBetas: []float64{2, 2, 2},
-				Capacity:     scn.Capacity,
-				Cost:         scn.Cost,
-				Pricer:       mustPricer(t, name, params),
-			})
-			if err != nil {
-				t.Fatalf("NewController: %v", err)
-			}
-			react := truthModel(t)
-			for day := 1; day <= 3; day++ {
-				rep, err := ctrl.RunDay(react)
-				if err != nil {
-					t.Fatalf("RunDay %d: %v", day, err)
-				}
-				if len(rep.Rewards) != scn.Periods {
-					t.Fatalf("day %d: %d rewards", day, len(rep.Rewards))
-				}
-			}
-			// Profiling still runs under every mechanism: after 3 days the
-			// belief has been re-estimated away from the flat prior.
-			if ctrl.Days() != 3 {
-				t.Fatalf("days = %d", ctrl.Days())
-			}
-			betas := ctrl.Betas()
-			flat := true
-			for _, b := range betas {
-				if b != 2 {
-					flat = false
-				}
-			}
-			if flat {
-				t.Fatalf("betas never re-estimated under %s: %v", name, betas)
-			}
-		})
-	}
-}
-
-func TestControllerMechanismPlanError(t *testing.T) {
-	scn := testScenario()
-	ctrl, err := NewController(ControllerConfig{
-		Demand:       scn.Demand,
-		Classes:      testClasses(),
-		InitialBetas: []float64{2, 2, 2},
-		Capacity:     scn.Capacity,
-		Cost:         scn.Cost,
-		Pricer:       badPricer{},
-	})
-	if err != nil {
-		t.Fatalf("NewController: %v", err)
-	}
-	if _, err := ctrl.PlanDay(); !errors.Is(err, errBadPlan) {
-		t.Fatalf("PlanDay error = %v, want errBadPlan wrap", err)
-	}
-}
-
-var errBadPlan = errors.New("deliberately failing pricer")
-
-type badPricer struct{}
-
-func (badPricer) Name() string { return "bad" }
-func (badPricer) PlanDay(*core.Scenario, *mechanism.Observation) ([]float64, error) {
-	return nil, errBadPlan
-}
-
 // TestMechanismShortPlanRejected: a mechanism whose day plan does not
-// cover every period is rejected as bad input on all three plan paths —
-// the optimizer's initial plan, its day-boundary replan, and the
-// controller's day plan.
+// cover every period is rejected as bad input on both plan paths — the
+// optimizer's initial plan and its day-boundary replan.
 func TestMechanismShortPlanRejected(t *testing.T) {
 	scn := testScenario()
 	if _, err := NewOptimizer(OptimizerConfig{
@@ -227,21 +151,6 @@ func TestMechanismShortPlanRejected(t *testing.T) {
 	}
 	if _, err := opt.ClosePeriod(); !errors.Is(err, ErrBadInput) {
 		t.Errorf("day-boundary ClosePeriod: err = %v, want ErrBadInput", err)
-	}
-
-	ctrl, err := NewController(ControllerConfig{
-		Demand:       scn.Demand,
-		Classes:      testClasses(),
-		InitialBetas: []float64{2, 2, 2},
-		Capacity:     scn.Capacity,
-		Cost:         scn.Cost,
-		Pricer:       &shortPricer{},
-	})
-	if err != nil {
-		t.Fatalf("NewController: %v", err)
-	}
-	if _, err := ctrl.PlanDay(); !errors.Is(err, ErrBadInput) {
-		t.Errorf("Controller.PlanDay: err = %v, want ErrBadInput", err)
 	}
 }
 

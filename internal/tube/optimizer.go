@@ -100,9 +100,6 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := stream.Attach(meas); err != nil {
-			return nil, err
-		}
 	}
 	var (
 		online  *core.OnlineOptimizer

@@ -3,21 +3,16 @@
 //
 // The batch engine collects whole days and re-fits from a neutral start
 // when asked — the paper's "weekly" workflow. StreamProfiler instead
-// rides the serving plane: it subscribes to the ingest engine's delta
-// stream for a live per-class usage sketch, folds the *authoritative*
-// per-class totals of every period close (the measurement rollover cut)
-// into one estimate.StreamFitter per class, and warm-starts a
-// Levenberg–Marquardt refinement from the previous fit each period —
-// O(1) fold cost per period close and microseconds per refinement,
-// versus a cold fit per day.
+// rides the serving plane: it folds the per-class totals of every
+// period close (the measurement rollover cut) into one
+// estimate.StreamFitter per class, and warm-starts a Levenberg–Marquardt
+// refinement from the previous fit each period — O(1) fold cost per
+// period close and microseconds per refinement, versus a cold fit per
+// day.
 //
-// Consistency: the delta subscription is delivered outside the ingest
-// shard locks, so the sketch is an advisory live view that is NOT
-// ordered against Rollover. The fitters are fed exclusively from
-// rollover totals (FoldPeriod), inside the optimizer's period-close
-// critical section; at each fold the sketch is swapped out and its
-// disagreement with the authoritative totals is exported as the
-// stream_sketch_skew_mb metric.
+// Consistency: the fitters are fed only from rollover totals
+// (FoldPeriod), inside the optimizer's period-close critical section,
+// so a (reward, usage) pair never straddles a schedule update.
 package tube
 
 import (
@@ -28,7 +23,6 @@ import (
 	"sync/atomic"
 
 	"tdp/internal/estimate"
-	"tdp/internal/ingest"
 	"tdp/internal/obs"
 )
 
@@ -64,8 +58,8 @@ type StreamEstimate struct {
 }
 
 // StreamProfiler estimates per-class patience continuously from the
-// live ingest stream. FoldPeriod/Refine/Divergence are safe for
-// concurrent use; the sketch subscription is internally synchronized.
+// period-close usage totals. FoldPeriod/Refine/Divergence are safe for
+// concurrent use.
 type StreamProfiler struct {
 	mu        sync.Mutex
 	periods   int
@@ -75,12 +69,6 @@ type StreamProfiler struct {
 	betas     []float64                // guarded by mu: last refined per-class patience
 	refined   bool                     // guarded by mu: betas hold a fit (not still empty)
 	periodsIn int                      // guarded by mu: period closes folded
-
-	// Live sketch, fed by the ingest delta subscription. The adders are
-	// internally synchronized; eng/subID are guarded by mu.
-	sketch []*obs.FloatAdder
-	eng    *ingest.Engine // guarded by mu: engine the subscription is attached to
-	subID  int64          // guarded by mu
 
 	met atomic.Pointer[streamMetrics] // nil until Instrument, like ingest's hookup
 }
@@ -105,7 +93,6 @@ func NewStreamProfiler(baseline [][]float64, maxReward float64, cfg StreamConfig
 		periods: len(baseline),
 		classes: classes,
 		betas:   make([]float64, classes),
-		sketch:  make([]*obs.FloatAdder, classes),
 	}
 	for i, row := range baseline {
 		if len(row) != classes {
@@ -134,7 +121,6 @@ func NewStreamProfiler(baseline [][]float64, maxReward float64, cfg StreamConfig
 			return nil, badInput(fmt.Errorf("class %d: %w", j, err))
 		}
 		sp.fitters = append(sp.fitters, sf)
-		sp.sketch[j] = obs.NewFloatAdder()
 	}
 	return sp, nil
 }
@@ -142,49 +128,9 @@ func NewStreamProfiler(baseline [][]float64, maxReward float64, cfg StreamConfig
 // Classes returns the number of profiled classes.
 func (sp *StreamProfiler) Classes() int { return sp.classes }
 
-// Attach subscribes the live sketch to eng's delta stream. The engine's
-// class count must match the profiler's. Attaching replaces any
-// previous subscription.
-func (sp *StreamProfiler) Attach(eng *ingest.Engine) error {
-	if eng == nil {
-		return fmt.Errorf("nil engine: %w", ErrBadInput)
-	}
-	if got := len(eng.Classes()); got != sp.classes {
-		return fmt.Errorf("engine has %d classes, profiler %d: %w", got, sp.classes, ErrBadInput)
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.eng != nil {
-		sp.eng.Unsubscribe(sp.subID)
-	}
-	sketch := sp.sketch
-	sp.eng = eng
-	sp.subID = eng.Subscribe(func(byClass []float64) {
-		for j, v := range byClass {
-			if v != 0 {
-				sketch[j].Add(v)
-			}
-		}
-	})
-	return nil
-}
-
-// Detach removes the delta subscription, if any.
-func (sp *StreamProfiler) Detach() {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.eng != nil {
-		sp.eng.Unsubscribe(sp.subID)
-		sp.eng = nil
-		sp.subID = 0
-	}
-}
-
 // FoldPeriod folds one closed period into every class fitter: the
 // reward that was in force and the authoritative per-class usage totals
-// from the measurement rollover. It swaps the live sketch and exports
-// its disagreement with the authoritative totals as the skew metric.
-// Call it from the same critical section that performs the rollover so
+// from the measurement rollover. Call it from the same critical section that performs the rollover so
 // the (reward, usage) pair cannot straddle a schedule update — the
 // day-boundary hazard the batch path had.
 func (sp *StreamProfiler) FoldPeriod(period int, reward float64, usageByClass []float64) (dayClosed bool, err error) {
@@ -200,15 +146,6 @@ func (sp *StreamProfiler) FoldPeriod(period int, reward float64, usageByClass []
 	}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	var skew float64
-	for j, a := range sp.sketch {
-		live := a.Swap()
-		d := live - usageByClass[j]
-		if d < 0 {
-			d = -d
-		}
-		skew += d
-	}
 	for j, sf := range sp.fitters {
 		closed, err := sf.ObservePeriod(period, reward, usageByClass[j])
 		if err != nil {
@@ -221,7 +158,6 @@ func (sp *StreamProfiler) FoldPeriod(period int, reward float64, usageByClass []
 	sp.periodsIn++
 	if m := sp.met.Load(); m != nil {
 		m.folds.Inc()
-		m.skew.Set(skew)
 		if dayClosed {
 			m.days.Inc()
 		}
@@ -397,7 +333,6 @@ type streamMetrics struct {
 	days       *obs.Counter
 	refines    map[string]*obs.Counter
 	iterations *obs.Histogram
-	skew       *obs.Gauge
 	divergence *obs.Gauge
 	beta       []*obs.Gauge
 }
@@ -406,9 +341,8 @@ type streamMetrics struct {
 var refineIterBuckets = obs.ExpBuckets(1, 2, 11)
 
 // Instrument registers the streaming profiler's metrics on reg:
-// estimate staleness, window occupancy, live-sketch volume, fold/day
-// counters, refinement modes and iterations, sketch-vs-rollover skew
-// and streaming-vs-batch divergence.
+// estimate staleness, window occupancy, fold/day counters, refinement
+// modes and iterations, and streaming-vs-batch divergence.
 func (sp *StreamProfiler) Instrument(reg *obs.Registry) {
 	m := &streamMetrics{
 		folds: reg.Counter("stream_folds_total", "period closes folded into the streaming fitters", nil),
@@ -419,7 +353,6 @@ func (sp *StreamProfiler) Instrument(reg *obs.Registry) {
 			"reused": reg.Counter("stream_refines_total", "streaming refinements, by start mode", obs.Labels{"mode": "reused"}),
 		},
 		iterations: reg.Histogram("stream_refine_iterations", "LM iterations per non-reused refinement, summed over classes", nil, refineIterBuckets),
-		skew:       reg.Gauge("stream_sketch_skew_mb", "abs difference between the live delta sketch and the authoritative rollover totals at the last period close, summed over classes", nil),
 		divergence: reg.Gauge("stream_batch_divergence", "max parameter difference between the streaming fit and a cold batch fit over the same window, at the last Divergence call", nil),
 	}
 	for j := 0; j < sp.classes; j++ {
@@ -430,13 +363,5 @@ func (sp *StreamProfiler) Instrument(reg *obs.Registry) {
 		func() float64 { return float64(sp.StalePeriods()) })
 	reg.GaugeFunc("stream_window_days", "complete days banked in the streaming window (occupancy)", nil,
 		func() float64 { return float64(sp.WindowLen()) })
-	reg.GaugeFunc("stream_live_delta_mb", "usage accumulated in the live sketch since the last period close, summed over classes", nil,
-		func() float64 {
-			var sum float64
-			for _, a := range sp.sketch {
-				sum += a.Value()
-			}
-			return sum
-		})
 	sp.met.Store(m)
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"tdp/internal/ingest"
 	"tdp/internal/obs"
 )
 
@@ -170,64 +169,6 @@ func TestStreamProfilerValidation(t *testing.T) {
 	}
 	if _, err := sp.FoldPeriod(2, 0.5, []float64{1, 2, 3}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("out-of-order fold: err = %v, want ErrBadInput", err)
-	}
-	if err := sp.Attach(nil); !errors.Is(err, ErrBadInput) {
-		t.Errorf("nil engine: err = %v, want ErrBadInput", err)
-	}
-	eng, err := ingest.NewEngine([]string{"one"}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Attach(eng); !errors.Is(err, ErrBadInput) {
-		t.Errorf("class mismatch: err = %v, want ErrBadInput", err)
-	}
-}
-
-// TestStreamProfilerSketchSkew: with the sketch attached to the same
-// engine whose rollover totals are folded, serial traffic yields zero
-// skew, and traffic the rollover never saw shows up as skew.
-func TestStreamProfilerSketchSkew(t *testing.T) {
-	scn := testScenario()
-	sp, err := NewStreamProfiler(scn.Demand, scn.NormReward(), StreamConfig{Window: 2})
-	if err != nil {
-		t.Fatalf("NewStreamProfiler: %v", err)
-	}
-	reg := obs.NewRegistry()
-	sp.Instrument(reg)
-	eng, err := ingest.NewEngine(testClasses(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Attach(eng); err != nil {
-		t.Fatalf("Attach: %v", err)
-	}
-	defer sp.Detach()
-	skew := reg.Gauge("stream_sketch_skew_mb", "", nil)
-	// Period 0: every accounted MB reaches the sketch before the fold.
-	if err := eng.Record("alice", "web", 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Record("bob", "video", 3); err != nil {
-		t.Fatal(err)
-	}
-	totals, _ := eng.Rollover()
-	if _, err := sp.FoldPeriod(0, 0.5, totals); err != nil {
-		t.Fatalf("FoldPeriod: %v", err)
-	}
-	if got := skew.Value(); got != 0 {
-		t.Errorf("serial fold skew = %v, want 0", got)
-	}
-	// Period 1: 5 MB recorded after the rollover lands in the next
-	// period's sketch but not in these totals → skew 5.
-	totals, _ = eng.Rollover()
-	if err := eng.Record("carol", "ftp", 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sp.FoldPeriod(1, 0.5, totals); err != nil {
-		t.Fatalf("FoldPeriod: %v", err)
-	}
-	if got := skew.Value(); got != 5 {
-		t.Errorf("post-rollover traffic skew = %v, want 5", got)
 	}
 }
 
@@ -436,10 +377,8 @@ func TestStreamProfilerInstrumented(t *testing.T) {
 		"stream_refines_total",
 		"stream_stale_periods",
 		"stream_window_days",
-		"stream_sketch_skew_mb",
 		"stream_batch_divergence",
 		"stream_beta",
-		"stream_live_delta_mb",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metric %q missing from exposition", want)

@@ -168,7 +168,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 
 // BenchmarkApplyWire is the tentpole comparison: the zero-copy path
 // (DecodeRecords → Engine.ApplyWire, no []Report materialized) against
-// the classic twin (Decode → RecordBatchAdmitted) on the same frame and
+// the classic twin (Decode → RecordBatch) on the same frame and
 // shard count. The acceptance bar is ≥2× at batch=256 with 0 allocs/op
 // on the warm zero-copy path.
 func BenchmarkApplyWire(b *testing.B) {
@@ -216,7 +216,7 @@ func BenchmarkApplyWire(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := eng.RecordBatchAdmitted(reps); err != nil {
+				if err := eng.RecordBatch(reps); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -333,8 +333,9 @@ func (d *Decoder) checkFrame(buf []byte) (payload []byte, total int, err error) 
 // call — callers that queue the frame must copy them.
 //
 // Feeding the result to Engine.ApplyWire is the cluster fast path; it
-// produces counters bit-identical to Decode + RecordBatchAdmitted (the
-// reference twin, pinned by the property tests).
+// produces counters bit-identical to Decode + RecordBatch on an engine
+// with no ownership filter (the reference twin, pinned by the property
+// tests).
 func (d *Decoder) DecodeRecords(buf []byte) (users []string, hashes []uint32, recs []ingest.WireRecord, consumed int, err error) {
 	payload, total, err := d.checkFrame(buf)
 	if err != nil {
