@@ -1,7 +1,7 @@
 // Command tubesim runs the end-to-end TUBE system against the emulated
 // testbed: it starts the TUBE Optimizer's HTTP price server, drives the
 // §VI-C experiment against it (GUI clients pull prices once per period
-// and report usage through the batched ingestion endpoint), and prints
+// and report usage as wire frames to POST /usage/wire), and prints
 // the resulting traffic and price history. The -users and -periods
 // flags scale the testbed beyond the paper's fixed two-user, one-hour
 // configuration.
@@ -14,11 +14,9 @@ import (
 	"io"
 	"net"
 	"os"
+	"strings"
 	"time"
 
-	"strings"
-
-	"tdp/internal/cluster"
 	"tdp/internal/core"
 	"tdp/internal/emul"
 	"tdp/internal/mechanism"
@@ -57,7 +55,6 @@ func run(args []string, out io.Writer) error {
 	periods := fs.Int("periods", 12, "periods in the emulated day (≥ 2)")
 	days := fs.Int("days", 1, "emulated days to run back-to-back (each under its freshly pulled schedule)")
 	stream := fs.Bool("stream", false, "enable streaming profiling: per-period warm β re-estimation from the live ingest stream")
-	wireFlag := fs.Bool("wire", false, "report usage over the binary wire format (POST /usage/wire) instead of JSON batches")
 	streamWindow := fs.Int("stream-window", 0, "streaming profiler day window (0 = engine default)")
 	pprofFlag := fs.Bool("pprof", false, "mount /debug/pprof on the price server")
 	metricsOut := fs.String("metrics-out", "", "write the final Prometheus metrics snapshot to this file (- for stdout)")
@@ -210,18 +207,6 @@ func run(args []string, out io.Writer) error {
 	if *pprofFlag {
 		srv.EnablePprof()
 	}
-	if *wireFlag {
-		// The wire endpoint lives on clustered servers; a one-member ring
-		// makes this node own every user.
-		if err := srv.EnableCluster(tube.ClusterOptions{
-			SelfID: "n0",
-			Ring: cluster.Config{Version: 1, Members: []cluster.Member{
-				{ID: "n0", Addr: "http://self"},
-			}},
-		}); err != nil {
-			return err
-		}
-	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -244,10 +229,8 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *wireFlag {
-		if err := gui.EnableWire(classes); err != nil {
-			return err
-		}
+	if err := gui.EnableWire(classes); err != nil {
+		return err
 	}
 	ctx := context.Background()
 	info, err := gui.PullPrice(ctx)
@@ -257,8 +240,8 @@ func run(args []string, out io.Writer) error {
 
 	// The closed loop, one iteration per emulated day: pull the published
 	// schedule, run the testbed day under it, then feed the TDP run's
-	// measured per-class usage back through the wire — one batch per
-	// period through the sharded ingestion endpoint, closing each period
+	// measured per-class usage back through the wire — one frame per
+	// period, applied before the server acks it, then the period closes
 	// at the optimizer. With -stream the optimizer re-estimates β at
 	// every period close from that same rollover cut, so later days run
 	// under prices informed by earlier days' live traffic.
@@ -283,16 +266,7 @@ func run(args []string, out io.Writer) error {
 					})
 				}
 			}
-			if *wireFlag {
-				if err := gui.ReportUsageWire(ctx, batch); err != nil {
-					return err
-				}
-				// Wire batches are acked on admission and applied by the
-				// queue worker; flush before the period rollover cut.
-				if err := srv.DrainCluster(ctx); err != nil {
-					return err
-				}
-			} else if err := gui.ReportUsageBatch(ctx, batch); err != nil {
+			if err := gui.ReportUsageWire(ctx, batch); err != nil {
 				return err
 			}
 			if _, err := opt.ClosePeriod(); err != nil {

@@ -25,7 +25,7 @@ func TestTubesimEndToEnd(t *testing.T) {
 }
 
 // TestTubesimScaled exercises the -users/-periods flags end to end: a
-// five-user, six-period testbed reported through the batch ingestion
+// five-user, six-period testbed reported over the wire ingestion
 // path, with one GUI pull per period plus the initial pull.
 func TestTubesimScaled(t *testing.T) {
 	var sb strings.Builder

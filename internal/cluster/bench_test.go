@@ -6,12 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"tdp/internal/ingest"
 	"tdp/internal/wire"
 )
 
-// BenchmarkRingOwner measures the hot placement lookup the router and
-// every node's admission filter run once per report.
+// BenchmarkRingOwner measures the hot placement lookup the router runs
+// once per report.
 func BenchmarkRingOwner(b *testing.B) {
 	for _, n := range []int{3, 16} {
 		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
@@ -66,32 +65,6 @@ func BenchmarkRouterSend(b *testing.B) {
 				b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
 			})
 		}
-	}
-}
-
-// BenchmarkShedQueuePush measures the admission-side cost of the
-// bounded queue under a running drain worker.
-func BenchmarkShedQueuePush(b *testing.B) {
-	q, err := NewShedQueue(routerClasses, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q.Start(func(Batch) {})
-	defer q.Close()
-	users := make([]string, 16)
-	hashes := make([]uint32, len(users))
-	for u := range users {
-		users[u] = fmt.Sprintf("u%05d", u)
-		hashes[u] = ingest.UserHash(users[u])
-	}
-	recs := make([]ingest.WireRecord, 64)
-	for i := range recs {
-		recs[i] = ingest.WireRecord{User: int32(i % len(users)), Class: int32(i % len(routerClasses)), VolumeMB: 1}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.PushWire(users, hashes, recs)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package cluster is the horizontal-scale serving plane for TUBE: a
 // consistent-hash ring assigning user keys to nodes, a Router client
 // that batches usage reports per owner and fans them out in the binary
-// wire format, bounded-queue load shedding for overloaded nodes, and
-// snapshot-based replication of the price plane.
+// wire format, and snapshot-based replication of the price plane.
 //
 // The paper's prototype is one server fronting a testbed (§VI); the
 // ROADMAP's next factor of 100 needs several tube.Server nodes owning
@@ -14,10 +13,11 @@
 //
 // Membership is static-with-versions rather than gossiped: a ring
 // Config carries a monotonically increasing version, the operator (or
-// the load harness) pushes it to every node, and nodes enforce
-// ownership per their current view — a misrouted report is rejected
-// with a redirect hint, never silently accepted, so a rebalance can
-// only delay a report, not double- or zero-count it.
+// the benchmark harness) pushes it to every node, and nodes enforce
+// ownership per their current view — a misrouted report is rejected by
+// index in the ack, which carries the node's ring version, never
+// silently accepted, so a rebalance can only delay a report, not
+// double- or zero-count it.
 package cluster
 
 import (

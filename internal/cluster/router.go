@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"tdp/internal/ingest"
-	"tdp/internal/obs"
 	"tdp/internal/wire"
 )
 
@@ -28,19 +27,16 @@ var ErrRouting = errors.New("cluster: reports undeliverable")
 var ErrUnavailable = errors.New("cluster: node unavailable")
 
 // WireAck is the response of POST /usage/wire: how many reports the
-// node accounted (or admitted to its queue) and which it disowned.
-// Rejected indices are in the request's report order, spanning all
-// frames in the body. RingVersion is the node's current ring view, so
-// a router holding a stale ring learns it is behind and can refetch.
+// node accounted and which it disowned. A node sends it only after it
+// has applied every accepted report. Rejected indices are in the
+// request's report order, spanning all frames in the body. RingVersion
+// is the node's current ring view (0 on a server that is not part of a
+// cluster), so a router holding a stale ring learns it is behind and
+// can refetch.
 type WireAck struct {
 	Accepted    int    `json:"accepted"`
 	Rejected    []int  `json:"rejected,omitempty"`
 	RingVersion uint64 `json:"ringVersion"`
-	// Queued means the batch was admitted to the node's shed queue
-	// rather than applied synchronously; Shed counts reports the
-	// admission displaced (shed-oldest overload protection).
-	Queued bool `json:"queued,omitempty"`
-	Shed   int  `json:"shed,omitempty"`
 }
 
 // Sender delivers one encoded wire body to a node. Implementations:
@@ -138,22 +134,12 @@ func (s *HTTPSender) FetchRing(ctx context.Context, node Member) (Config, error)
 	return cfg, nil
 }
 
-// RouteStats summarizes one Send: how many reports went where and how
-// much ownership churn the rounds absorbed.
+// RouteStats summarizes one Send: how many reports were delivered and
+// how much ownership churn the rounds absorbed.
 type RouteStats struct {
-	Reports  int            // reports delivered
-	Rerouted int            // reports resent after an ownership rejection
-	Rounds   int            // partition→fan-out rounds taken
-	Shed     int            // reports the receiving nodes shed on admission
-	PerNode  map[string]int // accepted (or queued) reports per node ID
-}
-
-// routerMetrics is the optional obs hookup.
-type routerMetrics struct {
-	reports  *obs.Counter
-	batches  *obs.Counter
-	rerouted *obs.Counter
-	rounds   *obs.Histogram
+	Reports  int // reports delivered
+	Rerouted int // reports resent after an ownership rejection
+	Rounds   int // partition→fan-out rounds taken
 }
 
 // Router is the cluster-aware ingest client: it partitions a batch by
@@ -178,7 +164,6 @@ type Router struct {
 	inflight   int       // max frames in flight per Send
 	frameLimit int       // max reports per frame
 	encPool    sync.Pool // *wire.Encoder
-	met        atomic.Pointer[routerMetrics]
 }
 
 // DefaultInflight is the frames-in-flight bound per Send and
@@ -238,16 +223,6 @@ func (rt *Router) UpdateRing(ring *Ring) bool {
 	}
 }
 
-// Instrument registers the router's counters on reg.
-func (rt *Router) Instrument(reg *obs.Registry) {
-	rt.met.Store(&routerMetrics{
-		reports:  reg.Counter("cluster_router_reports_total", "usage reports delivered through the router", nil),
-		batches:  reg.Counter("cluster_router_batches_total", "wire bodies sent to nodes", nil),
-		rerouted: reg.Counter("cluster_router_rerouted_total", "reports resent after an ownership rejection", nil),
-		rounds:   reg.Histogram("cluster_router_rounds", "partition→fan-out rounds per Send", nil, obs.ExpBuckets(1, 2, 5)),
-	})
-}
-
 //tubelint:pooled
 func (rt *Router) encoder() *wire.Encoder {
 	if v := rt.encPool.Get(); v != nil {
@@ -300,10 +275,7 @@ func (rt *Router) sendWorker(ctx context.Context, jobCh <-chan sendJob, stats *R
 			ag.mu.Unlock()
 			continue
 		}
-		accepted := len(job.reps) - len(ack.Rejected)
-		stats.PerNode[job.node.ID] += accepted
-		stats.Reports += accepted
-		stats.Shed += ack.Shed
+		stats.Reports += len(job.reps) - len(ack.Rejected)
 		for _, ri := range ack.Rejected {
 			ag.rejected = append(ag.rejected, job.idxs[ri])
 		}
@@ -322,7 +294,7 @@ func (rt *Router) sendWorker(ctx context.Context, jobCh <-chan sendJob, stats *R
 // a round, frames are pipelined: up to SetInflight frames are in flight
 // concurrently across owners.
 func (rt *Router) Send(ctx context.Context, reports []ingest.Report) (RouteStats, error) {
-	stats := RouteStats{PerNode: make(map[string]int)}
+	var stats RouteStats
 	if len(reports) == 0 {
 		return stats, nil
 	}
@@ -365,9 +337,6 @@ func (rt *Router) Send(ctx context.Context, reports []ingest.Report) (RouteStats
 		if len(rejected) == 0 {
 			break
 		}
-		if m := rt.met.Load(); m != nil {
-			m.rerouted.Add(int64(len(rejected)))
-		}
 		stats.Rerouted += len(rejected)
 		// If a node is on a newer ring than ours, refetch before the
 		// next round — otherwise we would resend to the same owner.
@@ -388,10 +357,6 @@ func (rt *Router) Send(ctx context.Context, reports []ingest.Report) (RouteStats
 			next[i] = pending[pi]
 		}
 		pending = next
-	}
-	if m := rt.met.Load(); m != nil {
-		m.reports.Add(int64(stats.Reports))
-		m.rounds.Observe(float64(stats.Rounds))
 	}
 	return stats, nil
 }
@@ -443,9 +408,6 @@ func (rt *Router) sendFrame(ctx context.Context, enc *wire.Encoder, job sendJob)
 	ack, err := rt.sender.SendWire(ctx, job.node, body)
 	if err != nil {
 		return WireAck{}, err
-	}
-	if m := rt.met.Load(); m != nil {
-		m.batches.Inc()
 	}
 	if ack.Accepted != len(job.reps)-len(ack.Rejected) {
 		return WireAck{}, fmt.Errorf("%w: node %s acked %d of %d with %d rejections",

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"tdp/internal/ingest"
-	"tdp/internal/obs"
 	"tdp/internal/wire"
 )
 
@@ -364,7 +363,6 @@ func TestRouterGivesUpAfterMaxRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Instrument(obs.NewRegistry())
 	_, err = rt.Send(context.Background(), routerReports(10, 1))
 	if !errors.Is(err, ErrRouting) {
 		t.Fatalf("endless rejection: %v, want ErrRouting", err)

@@ -14,7 +14,14 @@
 //   - Batched ingestion: RecordBatch validates a whole []Report up
 //     front (all-or-nothing) and then applies it with ONE lock
 //     acquisition per touched shard, amortizing synchronization across
-//     the batch.
+//     the batch. ApplyWire (wireapply.go) does the same for a decoded
+//     wire frame without materializing reports; it is what the TUBE
+//     server's one usage endpoint, POST /usage/wire, calls on every
+//     frame before it acknowledges the request. Record and RecordBatch
+//     serve in-process callers.
+//   - One validation rule on every path: a known class, a non-empty
+//     user, and a volume in [0, MaxReportMB], so no sequence of
+//     accepted reports can overflow a counter.
 //   - Merge-on-read totals: ClassTotals/UserTotals walk the shards only
 //     when asked (period close, monitoring), keeping the write path
 //     free of aggregation work.
@@ -32,7 +39,6 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -42,14 +48,10 @@ import (
 // ErrBadReport is returned for invalid reports or configurations.
 var ErrBadReport = errors.New("ingest: bad report")
 
-// ErrNotOwned is returned when an ownership filter (SetFilter) rejects a
-// report's user: the report is valid but belongs to another node of the
-// cluster. The serving layer maps it to a redirect, not a client error.
-var ErrNotOwned = errors.New("ingest: user not owned by this node")
-
 // Report is one usage accounting record: volumeMB of class traffic
-// attributed to user. It is also the wire format of the TUBE server's
-// /usage and /usage/batch endpoints.
+// attributed to user. It is the record form clients hand to the wire
+// encoder; the TUBE server's one usage endpoint, POST /usage/wire,
+// carries frames of them.
 type Report struct {
 	User     string  `json:"user"`
 	Class    string  `json:"class"`
@@ -73,27 +75,7 @@ type Engine struct {
 	shards   []shard
 	mask     uint32
 	met      atomic.Pointer[engineMetrics] // nil until Instrument
-	filter   atomic.Pointer[FilterFunc]    // nil until SetFilter: cluster ownership hook
 	wirePool wireWSHolder                  // ApplyWire grouping workspaces (see wireapply.go)
-}
-
-// FilterFunc is an ownership predicate over user keys: true means this
-// engine's node owns the user and the report may be accounted here.
-type FilterFunc func(user string) bool
-
-// SetFilter installs (or, with nil, removes) an ownership filter applied
-// to externally submitted reports: Record and RecordBatch reject reports
-// whose user the filter disowns with an error wrapping ErrNotOwned.
-// ApplyWire bypasses the filter for frames whose ownership the cluster
-// layer already checked at admission — once a node has acknowledged a
-// frame it must account it even if the ring has since moved the users,
-// or a rebalance would silently lose acknowledged reports.
-func (e *Engine) SetFilter(f FilterFunc) {
-	if f == nil {
-		e.filter.Store(nil)
-		return
-	}
-	e.filter.Store(&f)
 }
 
 // DefaultShards is the shard count used when NewEngine is given 0: the
@@ -177,12 +159,18 @@ func (e *Engine) shardIdxFor(user string) int {
 	return int(UserHash(user) & e.mask)
 }
 
-// validVolume is the one volume rule of every ingest path: finite and
-// non-negative (NaN fails both comparisons).
-func validVolume(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+// MaxReportMB caps one report's volume at 2^40 MB (about 1.1 EB). The
+// counters are float64 sums, and n reports of at most 2^40 MB sum to at
+// most n·2^40, which stays below math.MaxFloat64 (about 2^1024) for
+// every n below 2^984, about 10^296 reports: no sequence of accepted
+// reports can drive a period total to +Inf.
+const MaxReportMB = 1 << 40
 
-// validate checks one report, including the ownership filter, and
-// resolves its class index.
+// validVolume is the one volume rule of every ingest path: non-negative
+// and at most MaxReportMB (NaN fails both comparisons, ±Inf the one).
+func validVolume(v float64) bool { return v >= 0 && v <= MaxReportMB }
+
+// validate checks one report and resolves its class index.
 func (e *Engine) validate(r *Report) (int, error) {
 	if r.User == "" {
 		return 0, fmt.Errorf("empty user: %w", ErrBadReport)
@@ -193,9 +181,6 @@ func (e *Engine) validate(r *Report) (int, error) {
 	}
 	if !validVolume(r.VolumeMB) {
 		return 0, fmt.Errorf("bad volume %v: %w", r.VolumeMB, ErrBadReport)
-	}
-	if f := e.filter.Load(); f != nil && !(*f)(r.User) {
-		return 0, fmt.Errorf("user %q: %w", r.User, ErrNotOwned)
 	}
 	return idx, nil
 }

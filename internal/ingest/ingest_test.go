@@ -83,6 +83,48 @@ func TestInfiniteVolumeRejected(t *testing.T) {
 	}
 }
 
+// TestFiniteReportsCannotOverflow: every path caps one report at
+// MaxReportMB, so finite reports can no longer sum to +Inf. Two 1e308
+// reports used to be accepted and close as [+Inf 0 0].
+func TestFiniteReportsCannotOverflow(t *testing.T) {
+	e, _ := NewEngine(classes3(), 4)
+	for i := 0; i < 2; i++ {
+		if err := e.Record("alice", "web", 1e308); !errors.Is(err, ErrBadReport) {
+			t.Fatalf("Record(1e308) #%d: err = %v, want ErrBadReport", i+1, err)
+		}
+	}
+	over := math.Nextafter(MaxReportMB, math.Inf(1))
+	if err := e.Record("alice", "web", over); !errors.Is(err, ErrBadReport) {
+		t.Errorf("Record just over the cap: err = %v, want ErrBadReport", err)
+	}
+	if err := e.RecordBatch([]Report{{User: "a", Class: "web", VolumeMB: 1}, {User: "b", Class: "ftp", VolumeMB: over}}); !errors.Is(err, ErrBadReport) {
+		t.Errorf("RecordBatch over the cap: err = %v, want ErrBadReport", err)
+	}
+	users := []string{"a", "b"}
+	recs := []WireRecord{{User: 0, Class: 0, VolumeMB: 1}, {User: 1, Class: 1, VolumeMB: over}}
+	if err := e.CheckWire(users, recs); !errors.Is(err, ErrBadReport) {
+		t.Errorf("CheckWire over the cap: err = %v, want ErrBadReport", err)
+	}
+	if err := e.ApplyWire(users, nil, recs); !errors.Is(err, ErrBadReport) {
+		t.Errorf("ApplyWire over the cap: err = %v, want ErrBadReport", err)
+	}
+	if n := e.Accepted(); n != 0 {
+		t.Fatalf("%d over-cap reports accounted, want 0", n)
+	}
+	// Reports at the cap are accepted, and their sums stay finite.
+	const n = 1000
+	for i := 0; i < n; i++ {
+		if err := e.Record("alice", "web", MaxReportMB); err != nil {
+			t.Fatalf("Record at the cap: %v", err)
+		}
+	}
+	classTotals, userTotals := e.Rollover()
+	//lint:allow floateq n·2^40 is exact in float64
+	if classTotals[0] != n*MaxReportMB || userTotals["alice"] != n*MaxReportMB {
+		t.Fatalf("totals %v / %v, want %v", classTotals, userTotals, float64(n*MaxReportMB))
+	}
+}
+
 // TestRecordWarmAllocs pins the single-report hot path: a warm Record
 // (user and shard map entry already present) allocates nothing.
 func TestRecordWarmAllocs(t *testing.T) {

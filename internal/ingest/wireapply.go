@@ -1,5 +1,5 @@
-// Zero-copy wire apply: the decode-direct-to-shard half of the cluster
-// ingest fast path.
+// Zero-copy wire apply: the decode-direct-to-shard half of the server's
+// one ingest path, POST /usage/wire.
 //
 // The classic path materializes a []Report from each wire frame and
 // feeds it to RecordBatch, which re-does per-record work the frame
@@ -21,8 +21,8 @@
 //
 // The fold preserves the per-(user, class) accumulation order of the
 // record stream, so the resulting counters are bit-identical to
-// RecordBatch fed the decoded equivalent on an engine with no ownership
-// filter — pinned by the property tests in internal/wire.
+// RecordBatch fed the decoded equivalent — pinned by the property tests
+// in internal/wire.
 package ingest
 
 import (
@@ -82,10 +82,9 @@ func growI32(s []int32, n int) []int32 {
 
 // ApplyWire folds one decoded wire frame straight into the shard
 // counters without materializing a []Report: users is the frame's
-// (interned) user table, recs its records in frame-index form. The
-// ownership filter is bypassed — callers have already admitted the
-// frame — and validation (CheckWire) is all-or-nothing: on any invalid
-// record NOTHING is applied.
+// (interned) user table, recs its records in frame-index form.
+// Validation (CheckWire) is all-or-nothing: on any invalid record
+// NOTHING is applied.
 //
 // hashes, when non-nil, must be the UserHash of each table entry
 // (hashes[i] == UserHash(users[i])); the wire decoder caches these in
@@ -103,9 +102,6 @@ func (e *Engine) ApplyWire(users []string, hashes []uint32, recs []WireRecord) e
 	// All-or-nothing validation before any shard is touched: a retried
 	// frame cannot double-count its valid prefix.
 	if err := e.CheckWire(users, recs); err != nil {
-		if m := e.metrics(); m != nil {
-			m.rejected.Add(int64(len(recs)))
-		}
 		return err
 	}
 	nU, nC := len(users), len(e.classes)
@@ -175,9 +171,20 @@ func (e *Engine) ApplyWire(users []string, hashes []uint32, recs []WireRecord) e
 // CheckWire validates a frame's records against its user table and this
 // engine's classes, with the same volume rule as Record: every user
 // index in range and naming a non-empty user, every class index in
-// range, every volume finite and non-negative. Serving layers call it
-// before acknowledging a frame they will apply later.
+// range, every volume in [0, MaxReportMB]. A frame that fails counts
+// all its records as rejected. The serving layer calls it on every
+// frame of a request body before it applies any of them.
 func (e *Engine) CheckWire(users []string, recs []WireRecord) error {
+	err := e.checkWire(users, recs)
+	if err != nil {
+		if m := e.metrics(); m != nil {
+			m.rejected.Add(int64(len(recs)))
+		}
+	}
+	return err
+}
+
+func (e *Engine) checkWire(users []string, recs []WireRecord) error {
 	nU, nC := len(users), len(e.classes)
 	for i := range recs {
 		r := &recs[i]

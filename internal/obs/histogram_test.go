@@ -7,8 +7,8 @@ import (
 
 func approxEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
-// TestQuantileEdgeCases covers the corners the old tubeload
-// nearest-rank code never exercised: empty, single observation, q=0,
+// TestQuantileEdgeCases covers the corners an older nearest-rank
+// quantile code never exercised: empty, single observation, q=0,
 // q=1, and all mass in one bucket.
 func TestQuantileEdgeCases(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {

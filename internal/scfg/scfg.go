@@ -4,7 +4,7 @@
 // peak-window × multiplier generator shapes), patience indices,
 // capacity profiles, piecewise-linear cost, normalization and wrap
 // options — plus simulation knobs (days, users, demand model) and a
-// pricing-mechanism selection, so tubesim/tubeload/tubeopt and the
+// pricing-mechanism selection, so tubesim/tubeopt and the
 // experiment runners can run arbitrary workloads without recompiling.
 //
 // Parsing is strict: unknown keys, ragged matrices, dimension

@@ -129,10 +129,10 @@ func TestBillOverHTTP(t *testing.T) {
 	srv, _ := NewServer(opt)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	gui, _ := NewGUI(ts.URL)
+	gui := wireGUI(t, ts.URL)
 	ctx := context.Background()
 
-	if err := gui.ReportUsage(ctx, UsageReport{User: "dave", Class: "web", VolumeMB: 50}); err != nil {
+	if err := gui.ReportUsageWire(ctx, []UsageReport{{User: "dave", Class: "web", VolumeMB: 50}}); err != nil {
 		t.Fatal(err)
 	}
 	reward := opt.CurrentReward()

@@ -2,33 +2,28 @@ package tube
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"tdp/internal/cluster"
-	"tdp/internal/ingest"
 	"tdp/internal/obs"
-	"tdp/internal/wire"
 )
 
 // ClusterOptions configures a Server as one node of a consistent-hash
-// serving plane (DESIGN.md §13).
+// serving plane (DESIGN.md §13): ring ownership on POST /usage/wire and
+// price replication. A Server without them is a one-node ring.
 type ClusterOptions struct {
 	// SelfID is this node's member ID; it must appear in Ring.Members.
 	SelfID string
 	// Ring is the initial ring configuration. Later configs arrive via
 	// PUT /cluster/ring and must carry a strictly higher Version.
 	Ring cluster.Config
-	// QueueDepth bounds the wire-ingest apply queue in batches (default
-	// 256). When full, the OLDEST queued batch is shed and counted in
-	// cluster_shed_reports_total — overload degrades visibly, never as
-	// silent latency collapse.
+	// QueueDepth is ignored: a node applies every usage frame before it
+	// acks it, so there is no apply queue to bound. The field remains
+	// only so existing callers compile; ROADMAP item 8 removes it.
 	QueueDepth int
 	// LeaderURL, when non-empty, makes this node a price FOLLOWER: it
 	// pulls snapshots from the leader at that base URL and serves
@@ -54,24 +49,18 @@ type clusterState struct {
 	selfID string
 	leader bool
 
-	ring    atomic.Pointer[cluster.Ring]
-	tab     *wire.ClassTable
-	decPool sync.Pool // *wire.Decoder
-	queue   *cluster.ShedQueue
-	rep     *cluster.Replicator // non-nil on followers
-	replica *board              // non-nil on followers: the applied snapshots
-
-	wireReports  *obs.Counter
-	wireRejected *obs.Counter
-	ringSwaps    *obs.Counter
+	ring      atomic.Pointer[cluster.Ring]
+	rep       *cluster.Replicator // non-nil on followers
+	replica   *board              // non-nil on followers: the applied snapshots
+	ringSwaps *obs.Counter
 }
 
-// EnableCluster joins this server to a consistent-hash serving plane:
-// it mounts POST /usage/wire (binary batch ingest with ownership
-// enforcement and load shedding), GET/PUT /cluster/ring, and
-// GET /cluster/snapshot, and installs an ownership filter on the ingest
-// engine so the JSON paths reject misrouted users with 421. Call before
-// Serve — routes cannot be added once the server is handling requests.
+// EnableCluster joins this server to a consistent-hash serving plane.
+// From then on POST /usage/wire accepts only the users this node owns
+// under its current ring and rejects the rest by index, and the server
+// mounts GET/PUT /cluster/ring and GET /cluster/snapshot; a follower
+// also starts replicating the leader's prices. Call before Serve —
+// routes cannot be added once the server is handling requests.
 func (s *Server) EnableCluster(opts ClusterOptions) error {
 	if s.cl != nil {
 		return fmt.Errorf("cluster already enabled: %w", ErrBadInput)
@@ -86,39 +75,11 @@ func (s *Server) EnableCluster(opts ClusterOptions) error {
 	if _, ok := ring.Member(opts.SelfID); !ok {
 		return fmt.Errorf("self %q not in ring: %w", opts.SelfID, ErrBadInput)
 	}
-	eng := s.opt.Measurement()
-	classes := eng.Classes()
-	tab, err := wire.NewClassTable(classes)
-	if err != nil {
-		return err
-	}
-	depth := opts.QueueDepth
-	if depth == 0 {
-		depth = 256
-	}
-	q, err := cluster.NewShedQueue(classes, depth)
-	if err != nil {
-		return err
-	}
 	cl := &clusterState{
 		selfID: opts.SelfID,
 		leader: opts.LeaderURL == "",
-		tab:    tab,
-		queue:  q,
 	}
-	cl.decPool.New = func() any { return wire.NewDecoder(tab) }
 	cl.ring.Store(ring)
-	q.Instrument(s.reg, classes)
-	q.Start(func(batch cluster.Batch) {
-		// Admission (ownership, validity) happened before the ack; a ring
-		// move while the batch sat queued must not un-account it.
-		_ = eng.ApplyWire(batch.Users, batch.Hashes, batch.Recs)
-	})
-	// The JSON ingest paths enforce ownership per the CURRENT ring view;
-	// the closure loads it atomically so ring swaps need no re-install.
-	eng.SetFilter(func(user string) bool {
-		return cl.ring.Load().Owns(cl.selfID, user)
-	})
 	if opts.LeaderURL != "" {
 		cl.replica = newBoard()
 		rep, err := cluster.NewReplicator(opts.LeaderURL, opts.ReplicateEvery, func(snap cluster.PriceSnapshot) error {
@@ -162,15 +123,12 @@ func (s *Server) EnableCluster(opts ClusterOptions) error {
 		cl.rep = rep
 		rep.Start()
 	}
-	cl.wireReports = s.reg.Counter("cluster_wire_reports_total", "reports admitted over the wire ingest path", nil)
-	cl.wireRejected = s.reg.Counter("cluster_wire_rejected_total", "reports rejected as not-owned on the wire ingest path", nil)
 	cl.ringSwaps = s.reg.Counter("cluster_ring_swaps_total", "ring configurations applied", nil)
 	s.reg.GaugeFunc("cluster_ring_version", "version of the ring configuration in effect", nil,
 		func() float64 { return float64(cl.ring.Load().Version()) })
 	s.reg.GaugeFunc("cluster_owned_fraction", "fraction of the hash circle this node owns", nil,
 		func() float64 { r := cl.ring.Load(); return r.OwnedFraction(cl.selfID) })
 	s.cl = cl
-	s.handle("POST /usage/wire", "usage_wire", s.handleUsageWire)
 	s.handle("GET /cluster/ring", "ring_get", s.handleRingGet)
 	s.handle("PUT /cluster/ring", "ring_put", s.handleRingPut)
 	s.handle("GET /cluster/snapshot", "cluster_snapshot", s.handleSnapshot)
@@ -186,135 +144,23 @@ func (s *Server) Ring() *cluster.Ring {
 	return s.cl.ring.Load()
 }
 
-// DrainCluster blocks until every admitted wire batch has been applied
-// to the ingest engine (no-op when clustering is off). Harnesses call
-// it before comparing engine totals against what they sent.
-func (s *Server) DrainCluster(ctx context.Context) error {
-	if s.cl == nil {
-		return nil
-	}
-	return s.cl.queue.Drain(ctx)
-}
+// DrainCluster returns nil at once: every acked usage frame was
+// applied before its ack, so there is nothing to drain. It remains only
+// so existing callers compile; ROADMAP item 8 removes it.
+func (s *Server) DrainCluster(context.Context) error { return nil }
 
-// ShedReports returns how many reports this node's apply queue has shed
-// under overload (0 when clustering is off).
-func (s *Server) ShedReports() int64 {
-	if s.cl == nil {
-		return 0
-	}
-	n, _ := s.cl.queue.ShedTotals()
-	return n
-}
+// ShedReports always returns 0: a node no longer queues acked frames,
+// so it cannot shed them. It remains only so existing callers compile;
+// ROADMAP item 8 removes it.
+func (s *Server) ShedReports() int64 { return 0 }
 
-// closeCluster releases held snapshot polls, stops the replication loop
-// and drains the apply queue so every acked batch is accounted before
-// shutdown returns.
-func (s *Server) closeCluster(ctx context.Context) error {
+// closeCluster releases held snapshot polls and stops the replication
+// loop.
+func (s *Server) closeCluster() {
 	s.wake()
-	cl := s.cl
-	if cl == nil {
-		return nil
-	}
-	if cl.rep != nil {
+	if cl := s.cl; cl != nil && cl.rep != nil {
 		cl.rep.Stop()
 	}
-	err := cl.queue.Drain(ctx)
-	cl.queue.Close()
-	return err
-}
-
-// maxWireBody bounds a POST /usage/wire request: two full-size frames.
-const maxWireBody = 2 * wire.DefaultMaxFrameBytes
-
-func (s *Server) handleUsageWire(w http.ResponseWriter, r *http.Request) {
-	cl := s.cl
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWireBody))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.rejected["usage_wire"].Inc()
-			http.Error(w, fmt.Sprintf("wire body over %d bytes", maxWireBody), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	dec := cl.decPool.Get().(*wire.Decoder)
-	defer cl.decPool.Put(dec)
-	// Zero-copy admission: each frame is walked in its own terms (user
-	// table + index records) without materializing []ingest.Report.
-	// Every frame is validated (CheckWire) before anything is queued, so
-	// a body answered 400 leaves nothing behind, and an acked batch is
-	// one the queue worker will apply. Ownership is enforced against
-	// this node's CURRENT ring view — once per DISTINCT user via the
-	// decoder's cached hashes, not once per record — and misrouted
-	// reports are rejected by index (spanning all frames in the body),
-	// never silently accepted; the ack's RingVersion tells a stale router
-	// to refetch.
-	ring := cl.ring.Load()
-	eng := s.opt.Measurement()
-	var admitted []cluster.Batch
-	var rejected []int
-	base := 0 // report index of the current frame's first record
-	for buf := body; len(buf) > 0; {
-		users, hashes, recs, n, err := dec.DecodeRecords(buf)
-		if err == nil {
-			err = eng.CheckWire(users, recs)
-		}
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, wire.ErrTooLarge) {
-				s.rejected["usage_wire"].Inc()
-				status = http.StatusRequestEntityTooLarge
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		buf = buf[n:]
-		ownedUser := make([]bool, len(users))
-		allOwned := true
-		for u := range users {
-			ownedUser[u] = ring.OwnsHash(cl.selfID, hashes[u])
-			allOwned = allOwned && ownedUser[u]
-		}
-		// The queue keeps the batch alive past this request (and past the
-		// decoder's next frame), so the scratch slices are copied here —
-		// the user strings themselves stay interned, only headers copy.
-		var owned []ingest.WireRecord
-		if allOwned {
-			owned = append(owned, recs...)
-		} else {
-			for i := range recs {
-				if ownedUser[recs[i].User] {
-					owned = append(owned, recs[i])
-				} else {
-					rejected = append(rejected, base+i)
-				}
-			}
-		}
-		if len(owned) > 0 {
-			admitted = append(admitted, cluster.Batch{
-				Users:  append([]string(nil), users...),
-				Hashes: append([]uint32(nil), hashes...),
-				Recs:   owned,
-			})
-		}
-		base += len(recs)
-	}
-	accepted, shed := 0, 0
-	for _, b := range admitted {
-		shed += cl.queue.PushWire(b.Users, b.Hashes, b.Recs)
-		accepted += len(b.Recs)
-	}
-	cl.wireReports.Add(int64(accepted))
-	cl.wireRejected.Add(int64(len(rejected)))
-	writeJSON(w, http.StatusOK, cluster.WireAck{
-		Accepted:    accepted,
-		Rejected:    rejected,
-		RingVersion: ring.Version(),
-		Queued:      true,
-		Shed:        shed,
-	})
 }
 
 func (s *Server) handleRingGet(w http.ResponseWriter, r *http.Request) {
@@ -330,7 +176,7 @@ type ringAck struct {
 
 func (s *Server) handleRingPut(w http.ResponseWriter, r *http.Request) {
 	var cfg cluster.Config
-	if err := decodeJSONBody(w, r, maxBatchBody, &cfg); err != nil {
+	if err := decodeJSONBody(w, r, maxRingBody, &cfg); err != nil {
 		s.httpBodyError(w, err, "ring_put", "malformed ring config")
 		return
 	}
@@ -430,8 +276,6 @@ type ClusterHealth struct {
 	// confirmed its price snapshot with its source (-1 before the first
 	// snapshot); absent on the leader.
 	ReplicationStalenessSeconds *float64 `json:"replicationStalenessSeconds,omitempty"`
-	QueuedBatches               int      `json:"queuedBatches"`
-	ShedReports                 int64    `json:"shedReports"`
 }
 
 // Health is the GET /healthz payload.
@@ -449,7 +293,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := Health{Status: "ok", Period: s.opt.Period()}
 	if cl := s.cl; cl != nil {
 		ring := cl.ring.Load()
-		shed, _ := cl.queue.ShedTotals()
 		ch := &ClusterHealth{
 			Self:          cl.selfID,
 			Leader:        cl.leader,
@@ -457,8 +300,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Members:       len(ring.Members()),
 			OwnedFraction: ring.OwnedFraction(cl.selfID),
 			OwnedRanges:   ring.OwnedRanges(cl.selfID),
-			QueuedBatches: cl.queue.Depth(),
-			ShedReports:   shed,
 		}
 		if cl.rep != nil {
 			stale := cl.rep.StalenessSeconds()

@@ -3,13 +3,17 @@ package tube
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,7 +32,7 @@ type clusterNode struct {
 
 // startCluster brings up n clustered servers on real listeners sharing
 // a ring; node 0 is the leader, the rest replicate prices from it.
-func startCluster(t *testing.T, n int, queueDepth int) ([]*clusterNode, cluster.Config) {
+func startCluster(t *testing.T, n int) ([]*clusterNode, cluster.Config) {
 	t.Helper()
 	nodes := make([]*clusterNode, n)
 	cfg := cluster.Config{Version: 1}
@@ -47,7 +51,7 @@ func startCluster(t *testing.T, n int, queueDepth int) ([]*clusterNode, cluster.
 		cfg.Members = append(cfg.Members, cluster.Member{ID: nodes[i].id, Addr: ts.URL})
 	}
 	for i, nd := range nodes {
-		opts := ClusterOptions{SelfID: nd.id, Ring: cfg, QueueDepth: queueDepth}
+		opts := ClusterOptions{SelfID: nd.id, Ring: cfg}
 		if i > 0 {
 			opts.LeaderURL = nodes[0].ts.URL
 			opts.ReplicateEvery = 20 * time.Millisecond
@@ -82,24 +86,11 @@ func clusterReports(users, perUser int) []ingest.Report {
 	return reps
 }
 
-// drainClusterQueues flushes every node's apply queue so engine totals
-// are comparable.
-func drainClusterQueues(t *testing.T, nodes []*clusterNode) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for _, nd := range nodes {
-		if err := nd.srv.cl.queue.Drain(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestClusterWireIngestExactlyOnce drives a Router over real HTTP
 // against 3 clustered nodes and checks every report lands exactly once,
 // with totals bit-identical to a single engine (dyadic volumes).
 func TestClusterWireIngestExactlyOnce(t *testing.T) {
-	nodes, cfg := startCluster(t, 3, 1024)
+	nodes, cfg := startCluster(t, 3)
 	ring, err := cluster.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -116,15 +107,10 @@ func TestClusterWireIngestExactlyOnce(t *testing.T) {
 	ctx := context.Background()
 	for lo := 0; lo < len(reps); lo += 64 {
 		hi := min(lo+64, len(reps))
-		stats, err := rt.Send(ctx, reps[lo:hi])
-		if err != nil {
+		if _, err := rt.Send(ctx, reps[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
-		if stats.Shed != 0 {
-			t.Fatalf("underloaded cluster shed %d reports", stats.Shed)
-		}
 	}
-	drainClusterQueues(t, nodes)
 
 	ref, err := ingest.NewEngine(testClasses(), 1)
 	if err != nil {
@@ -158,11 +144,11 @@ func TestClusterWireIngestExactlyOnce(t *testing.T) {
 }
 
 // TestClusterRingUpdateAndMisrouteRejection pushes a new ring over PUT
-// /cluster/ring and checks (a) version monotonicity, (b) the JSON path
-// answers 421 + owner hint for a misrouted user, (c) the wire path
-// rejects by index.
+// /cluster/ring and checks (a) version monotonicity, (b) the wire path
+// rejects a misrouted user by index and accepts it once the ring moves
+// the user to this node.
 func TestClusterRingUpdateAndMisrouteRejection(t *testing.T) {
-	nodes, cfg := startCluster(t, 2, 64)
+	nodes, cfg := startCluster(t, 2)
 	n0 := nodes[0]
 
 	// Find a user n0 does NOT own.
@@ -182,40 +168,14 @@ func TestClusterRingUpdateAndMisrouteRejection(t *testing.T) {
 		t.Fatal("no key hashed off n0")
 	}
 
-	// (b) JSON single-report path: 421 with a redirect hint.
-	body, _ := json.Marshal(ingest.Report{User: other, Class: "web", VolumeMB: 1})
-	resp, err := http.Post(n0.ts.URL+"/usage", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	// (b) Wire path: rejected by index, nothing accounted.
+	misrouted := []ingest.Report{{User: other, Class: "web", VolumeMB: 1}}
+	if code, ack := postWire(t, n0.ts.URL, misrouted); code != http.StatusOK ||
+		ack.Accepted != 0 || len(ack.Rejected) != 1 || ack.Rejected[0] != 0 || ack.RingVersion != 1 {
+		t.Fatalf("misrouted wire: status %d, ack %+v", code, ack)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMisdirectedRequest {
-		t.Fatalf("misrouted /usage: status %d, want 421", resp.StatusCode)
-	}
-	if hint := resp.Header.Get("X-Tube-Owner"); hint != nodes[1].ts.URL {
-		t.Fatalf("redirect hint %q, want %q", hint, nodes[1].ts.URL)
-	}
-
-	// (c) Wire path: rejected by index, nothing accounted.
-	tab, err := wire.NewClassTable(testClasses())
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := wire.NewEncoder(tab).Encode([]ingest.Report{{User: other, Class: "web", VolumeMB: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Post(n0.ts.URL+"/usage/wire", cluster.WireContentType, bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ack cluster.WireAck
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if ack.Accepted != 0 || len(ack.Rejected) != 1 || ack.Rejected[0] != 0 {
-		t.Fatalf("misrouted wire ack: %+v", ack)
+	if n := n0.opt.Measurement().Accepted(); n != 0 {
+		t.Fatalf("misrouted report accounted: %d", n)
 	}
 
 	// (a) Ring update: an older version is refused, a newer applied.
@@ -245,20 +205,19 @@ func TestClusterRingUpdateAndMisrouteRejection(t *testing.T) {
 		t.Fatalf("ring v2: %+v", a)
 	}
 	// n0 now owns everything: the previously misrouted user is accepted.
-	resp, err = http.Post(n0.ts.URL+"/usage", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	if code, ack := postWire(t, n0.ts.URL, misrouted); code != http.StatusOK ||
+		ack.Accepted != 1 || len(ack.Rejected) != 0 || ack.RingVersion != 2 {
+		t.Fatalf("after takeover: status %d, ack %+v", code, ack)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("after takeover /usage: status %d, want 204", resp.StatusCode)
+	if n := n0.opt.Measurement().Accepted(); n != 1 {
+		t.Fatalf("after takeover: %d reports accounted, want 1", n)
 	}
 }
 
 // TestClusterPriceReplication: followers serve the leader's schedule
 // from replicated snapshots and report staleness on /healthz.
 func TestClusterPriceReplication(t *testing.T) {
-	nodes, _ := startCluster(t, 2, 64)
+	nodes, _ := startCluster(t, 2)
 	leader, follower := nodes[0], nodes[1]
 
 	var want PriceInfo
@@ -355,7 +314,8 @@ func TestHealthzSingleNode(t *testing.T) {
 }
 
 // TestBodyLimits: oversize bodies answer 413 and are counted in the
-// handler rejection metrics (satellite: http.MaxBytesReader bounds).
+// handler rejection metrics: a body past maxWireBody, and a frame whose
+// header claims a payload past the decoder's frame bound.
 func TestBodyLimits(t *testing.T) {
 	opt, err := NewOptimizer(OptimizerConfig{Scenario: testScenario(), Classes: testClasses()})
 	if err != nil {
@@ -365,39 +325,42 @@ func TestBodyLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := func(path string, body []byte) int {
+	post := func(body []byte) int {
 		t.Helper()
 		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/usage/wire", bytes.NewReader(body))
 		srv.ServeHTTP(rec, req)
 		return rec.Code
 	}
-	// Valid JSON that only reveals its size by reading past the bound.
-	oversize := func(size int) []byte {
-		return []byte(`{"user":"` + strings.Repeat("x", size) + `"}`)
+	if code := post(make([]byte, maxWireBody+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: status %d, want 413", code)
 	}
-	if code := post("/usage", oversize(maxUsageBody)); code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize /usage: status %d, want 413", code)
+	frame := encodeWire(t, []ingest.Report{{User: "u", Class: "web", VolumeMB: 1}})
+	binary.LittleEndian.PutUint32(frame[4:], wire.DefaultMaxFrameBytes+1)
+	if code := post(frame); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize frame: status %d, want 413", code)
 	}
-	if code := post("/usage/batch", []byte(`[{"user":"`+strings.Repeat("x", maxBatchBody)+`"}]`)); code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize /usage/batch: status %d, want 413", code)
-	}
-	counts := srv.RequestCounts()
-	if counts["usage_rejected"] != 1 || counts["usage_batch_rejected"] != 1 {
-		t.Fatalf("rejection counters: %+v", counts)
+	if got := srv.RequestCounts()["usage_wire_rejected"]; got != 2 {
+		t.Fatalf("rejection counter %d, want 2", got)
 	}
 	// A small malformed body is still a plain 400.
-	if code := post("/usage", []byte("not json")); code != http.StatusBadRequest {
-		t.Fatalf("malformed /usage: status %d, want 400", code)
+	if code := post([]byte("not a frame")); code != http.StatusBadRequest {
+		t.Fatalf("malformed body: status %d, want 400", code)
 	}
-	if got := srv.RequestCounts()["usage_rejected"]; got != 1 {
+	if got := srv.RequestCounts()["usage_wire_rejected"]; got != 2 {
 		t.Fatalf("400 bumped the 413 counter to %d", got)
+	}
+	if n := opt.Measurement().Accepted(); n != 0 {
+		t.Fatalf("rejected bodies accounted %d reports", n)
 	}
 }
 
-// TestClusterLoadShedding: a depth-1 queue with a stalled drain sheds
-// oldest batches, visibly, with per-class counts.
-func TestClusterLoadShedding(t *testing.T) {
+// TestWireAckMeansApplied: a node applies every frame before it acks it,
+// so under any load the engine holds exactly what the acks accepted the
+// moment the acks are back, with no drain and nothing shed. The node is
+// built with QueueDepth 1, the setting under which an apply queue would
+// shed most often.
+func TestWireAckMeansApplied(t *testing.T) {
 	opt, err := NewOptimizer(OptimizerConfig{Scenario: testScenario(), Classes: testClasses()})
 	if err != nil {
 		t.Fatal(err)
@@ -410,70 +373,121 @@ func TestClusterLoadShedding(t *testing.T) {
 	if err := srv.EnableCluster(ClusterOptions{SelfID: "n0", Ring: cfg, QueueDepth: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Stalling the drain worker deterministically is racy, so push
-	// through the handler with the worker intact and the queue depth at
-	// 1: how often a batch evicts its predecessor depends on timing.
-	tab, err := wire.NewClassTable(testClasses())
-	if err != nil {
-		t.Fatal(err)
+	const (
+		posters = 8
+		frames  = 50
+	)
+	var (
+		wg       sync.WaitGroup
+		accepted atomic.Int64
+	)
+	for p := 0; p < posters; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			tab, err := wire.NewClassTable(testClasses())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			enc := wire.NewEncoder(tab)
+			for f := 0; f < frames; f++ {
+				reps := []ingest.Report{
+					{User: fmt.Sprintf("p%d-%d", p, f), Class: "web", VolumeMB: 1},
+					{User: fmt.Sprintf("p%d-%d", p, f+1000), Class: "video", VolumeMB: 2},
+				}
+				frame, err := enc.Encode(reps)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/usage/wire", bytes.NewReader(frame)))
+				var ack cluster.WireAck
+				if rec.Code != http.StatusOK || json.NewDecoder(rec.Body).Decode(&ack) != nil {
+					t.Errorf("wire status %d: %s", rec.Code, rec.Body.String())
+					return
+				}
+				accepted.Add(int64(ack.Accepted))
+			}
+		}(p)
 	}
-	enc := wire.NewEncoder(tab)
-	post := func(users []string) cluster.WireAck {
-		t.Helper()
-		var reps []ingest.Report
-		for _, u := range users {
-			reps = append(reps, ingest.Report{User: u, Class: "web", VolumeMB: 1})
+	wg.Wait()
+	if want := int64(posters * frames * 2); accepted.Load() != want {
+		t.Fatalf("acks accepted %d reports, sent %d", accepted.Load(), want)
+	}
+	if got := opt.Measurement().Accepted(); got != accepted.Load() {
+		t.Fatalf("engine holds %d reports once the acks are back, acks accepted %d", got, accepted.Load())
+	}
+	if got, want := opt.Measurement().ClassTotals(), []float64{posters * frames, 0, 2 * posters * frames}; !slices.Equal(got, want) {
+		t.Fatalf("class totals %v, want %v", got, want)
+	}
+}
+
+// TestAckedReportInClosingPeriod: a report whose ack came back before
+// ClosePeriod began is in that period's observed totals, every time.
+// Each period's frame is large, so an apply still running after the ack
+// would miss the close.
+func TestAckedReportInClosingPeriod(t *testing.T) {
+	nodes, _ := startCluster(t, 1)
+	nd := nodes[0]
+	const perFrame = 4096
+	reps := make([]ingest.Report, perFrame)
+	for k := 0; k < 12; k++ {
+		for i := range reps {
+			reps[i] = ingest.Report{User: fmt.Sprintf("p%02d-u%04d", k, i), Class: "ftp", VolumeMB: 1}
 		}
-		frame, err := enc.Encode(reps)
+		rec := httptest.NewRecorder()
+		nd.srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/usage/wire", bytes.NewReader(encodeWire(t, reps))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("period %d: status %d: %s", k, rec.Code, rec.Body.String())
+		}
+		observed, err := nd.opt.ClosePeriod()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/usage/wire", bytes.NewReader(frame))
-		srv.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("wire status %d: %s", rec.Code, rec.Body.String())
+		//lint:allow floateq integral volumes sum exactly
+		if observed[1] != perFrame {
+			t.Fatalf("period %d observed ftp %v, want the acked %v", k, observed[1], perFrame)
 		}
-		var ack cluster.WireAck
-		if err := json.NewDecoder(rec.Body).Decode(&ack); err != nil {
-			t.Fatal(err)
-		}
-		return ack
 	}
-	// With the worker running, sheds are timing-dependent; assert only
-	// the conservation the metrics promise: accepted == applied + shed.
-	var sent int
-	for i := 0; i < 200; i++ {
-		ack := post([]string{fmt.Sprintf("su%03d", i), fmt.Sprintf("su%03d", i+1000)})
-		sent += ack.Accepted
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.cl.queue.Drain(ctx); err != nil {
+}
+
+// TestOneNodeRingAcksEveryUser: a server that never joined a cluster is
+// the one-node ring. POST /usage/wire is mounted, every user is owned,
+// and the ack carries RingVersion 0.
+func TestOneNodeRingAcksEveryUser(t *testing.T) {
+	opt, err := NewOptimizer(OptimizerConfig{Scenario: testScenario(), Classes: testClasses()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	shed, byClass := srv.cl.queue.ShedTotals()
-	applied := opt.Measurement().Accepted()
-	if applied+shed != int64(sent) {
-		t.Fatalf("conservation: applied %d + shed %d != accepted %d", applied, shed, sent)
+	srv, err := NewServer(opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var classSum int64
-	for _, c := range byClass {
-		classSum += c
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	reps := clusterReports(300, 2)
+	code, ack := postWire(t, ts.URL, reps)
+	if code != http.StatusOK || ack.Accepted != len(reps) || len(ack.Rejected) != 0 || ack.RingVersion != 0 {
+		t.Fatalf("status %d, ack %+v; want all %d accepted at ring version 0", code, ack, len(reps))
 	}
-	if classSum != shed {
-		t.Fatalf("per-class shed %d != total %d", classSum, shed)
+	if n := opt.Measurement().Accepted(); n != int64(len(reps)) {
+		t.Fatalf("engine accounted %d, sent %d", n, len(reps))
+	}
+	if srv.Ring() != nil {
+		t.Fatalf("Ring() = %+v on a server outside a cluster", srv.Ring())
 	}
 }
 
 // TestClusterWireRejectsBadVolumes: POST /usage/wire validates every
-// record before it acks. A frame carrying a negative or infinite volume
-// is answered 400 with nothing queued, so the router sees the error
-// instead of an ack for reports the engine would later drop; a body
-// whose first frame is valid and whose second is not (bad volume or
-// undecodable) queues neither.
+// record before it applies or acks anything. A frame carrying a
+// negative, infinite or over-cap volume is answered 400 with nothing
+// applied, so the router sees the error; a body whose first frame is
+// valid and whose second is not (bad volume or undecodable) applies
+// neither.
 func TestClusterWireRejectsBadVolumes(t *testing.T) {
-	nodes, cfg := startCluster(t, 1, 16)
+	nodes, cfg := startCluster(t, 1)
 	nd := nodes[0]
 	ring, err := cluster.Build(cfg)
 	if err != nil {
@@ -488,7 +502,7 @@ func TestClusterWireRejectsBadVolumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := ingest.Report{User: "alice", Class: "web", VolumeMB: 4}
-	for _, v := range []float64{-1, math.Inf(1)} {
+	for _, v := range []float64{-1, math.Inf(1), 2 * ingest.MaxReportMB} {
 		bad := ingest.Report{User: "bob", Class: "ftp", VolumeMB: v}
 		if _, err := rt.Send(context.Background(), []ingest.Report{good, bad}); err == nil {
 			t.Errorf("volume %v: router Send acked a frame the node cannot apply", v)
@@ -526,19 +540,14 @@ func TestClusterWireRejectsBadVolumes(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("corrupt second frame: status %d, want 400", resp.StatusCode)
 	}
-	drainClusterQueues(t, nodes)
 	if n := nd.opt.Measurement().Accepted(); n != 0 {
 		t.Errorf("rejected bodies left %d reports accounted, want 0", n)
-	}
-	if shed := nd.srv.ShedReports(); shed != 0 {
-		t.Errorf("rejected bodies shed %d reports", shed)
 	}
 	// The same node still acks and applies a valid frame.
 	stats, err := rt.Send(context.Background(), []ingest.Report{good})
 	if err != nil || stats.Reports != 1 {
 		t.Fatalf("valid frame: stats %+v, err %v", stats, err)
 	}
-	drainClusterQueues(t, nodes)
 	if n := nd.opt.Measurement().Accepted(); n != 1 {
 		t.Errorf("valid frame: %d reports accounted, want 1", n)
 	}
@@ -590,10 +599,6 @@ func TestGUIWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := cluster.Config{Version: 1, Members: []cluster.Member{{ID: "n0", Addr: "http://local"}}}
-	if err := srv.EnableCluster(ClusterOptions{SelfID: "n0", Ring: cfg}); err != nil {
-		t.Fatal(err)
-	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	g, err := NewGUI(ts.URL)
@@ -612,12 +617,39 @@ func TestGUIWireRoundTrip(t *testing.T) {
 	if err := g.ReportUsageWire(ctx, reps); err != nil {
 		t.Fatal(err)
 	}
-	dctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	if err := srv.cl.queue.Drain(dctx); err != nil {
-		t.Fatal(err)
-	}
 	if got := opt.Measurement().Accepted(); got != int64(len(reps)) {
 		t.Fatalf("engine accounted %d, sent %d", got, len(reps))
 	}
+}
+
+// encodeWire encodes reps as one wire frame over the test classes.
+func encodeWire(t *testing.T, reps []ingest.Report) []byte {
+	t.Helper()
+	tab, err := wire.NewClassTable(testClasses())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.NewEncoder(tab).Encode(reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// postWire posts reps as one wire frame to base + /usage/wire and
+// returns the status and, on 200, the decoded ack.
+func postWire(t *testing.T, base string, reps []ingest.Report) (int, cluster.WireAck) {
+	t.Helper()
+	resp, err := http.Post(base+"/usage/wire", cluster.WireContentType, bytes.NewReader(encodeWire(t, reps)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ack cluster.WireAck
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, ack
 }

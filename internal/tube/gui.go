@@ -76,66 +76,10 @@ func (g *GUI) PullPrice(ctx context.Context) (PriceInfo, error) {
 	return info, nil
 }
 
-// ReportUsage posts a usage record to the optimizer's measurement engine
-// (the testbed's stand-in for in-network accounting).
-func (g *GUI) ReportUsage(ctx context.Context, rep UsageReport) error {
-	body, err := json.Marshal(rep)
-	if err != nil {
-		return fmt.Errorf("encode usage: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, g.base+"/usage",
-		bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("report usage: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("%w: report usage: status %d", ErrRemote, resp.StatusCode)
-	}
-	return nil
-}
-
-// ReportUsageBatch posts a whole batch of usage records in one request
-// (the high-throughput path: the server accounts the batch with one
-// lock acquisition per shard). The batch is all-or-nothing server-side.
-func (g *GUI) ReportUsageBatch(ctx context.Context, reps []UsageReport) error {
-	body, err := json.Marshal(reps)
-	if err != nil {
-		return fmt.Errorf("encode usage batch: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, g.base+"/usage/batch",
-		bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("report usage batch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%w: report usage batch: status %d", ErrRemote, resp.StatusCode)
-	}
-	var ack BatchAck
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		return fmt.Errorf("decode batch ack: %w", err)
-	}
-	if ack.Accepted != len(reps) {
-		return fmt.Errorf("%w: batch ack %d != %d sent", ErrRemote, ack.Accepted, len(reps))
-	}
-	return nil
-}
-
-// EnableWire switches this client to the binary batch format for
-// ReportUsageWire. The class list must match the server's ingest
-// configuration exactly — the wire frames carry a hash of it and the
-// server rejects frames built against a different table.
+// EnableWire builds the wire encoder ReportUsageWire needs. The class
+// list must match the server's ingest configuration exactly — the wire
+// frames carry a hash of it and the server rejects frames built against
+// a different table.
 func (g *GUI) EnableWire(classes []string) error {
 	tab, err := wire.NewClassTable(classes)
 	if err != nil {
@@ -145,10 +89,13 @@ func (g *GUI) EnableWire(classes []string) error {
 	return nil
 }
 
-// ReportUsageWire posts a batch in the binary wire format (EnableWire
-// first). Roughly the JSON batch path with the encode/decode cost
-// replaced by the wire codec; the server may queue the batch behind its
-// load-shedding apply queue.
+// ReportUsageWire posts a batch of usage records to POST /usage/wire,
+// the server's one usage endpoint (EnableWire first). The server
+// applies the batch before it answers, so on success every record is in
+// the period in progress, and a batch it rejects as invalid leaves
+// nothing behind. A cluster node applies only the records of users it
+// owns and disowns the rest, which fails the call with ErrRemote; route
+// batches for a cluster through cluster.Router instead.
 func (g *GUI) ReportUsageWire(ctx context.Context, reps []UsageReport) error {
 	if g.enc == nil {
 		return fmt.Errorf("wire format not enabled: %w", ErrBadInput)

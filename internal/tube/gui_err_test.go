@@ -32,12 +32,6 @@ func TestGUIRemoteErrorsWrapSentinel(t *testing.T) {
 	if _, err := g.PullPrice(ctx); !errors.Is(err, ErrRemote) {
 		t.Errorf("PullPrice on 500: %v, want tube.ErrRemote", err)
 	}
-	if err := g.ReportUsage(ctx, rep); !errors.Is(err, ErrRemote) {
-		t.Errorf("ReportUsage on 500: %v, want tube.ErrRemote", err)
-	}
-	if err := g.ReportUsageBatch(ctx, []UsageReport{rep}); !errors.Is(err, ErrRemote) {
-		t.Errorf("ReportUsageBatch on 500: %v, want tube.ErrRemote", err)
-	}
 	if err := g.ReportUsageWire(ctx, []UsageReport{rep}); !errors.Is(err, ErrRemote) {
 		t.Errorf("ReportUsageWire on 500: %v, want tube.ErrRemote", err)
 	}
@@ -52,11 +46,8 @@ func TestGUIRemoteErrorsWrapSentinel(t *testing.T) {
 		w.Write([]byte(`{"accepted":0}`))
 	}))
 	defer ackSrv.Close()
-	g2, err := NewGUI(ackSrv.URL)
-	if err != nil {
-		t.Fatalf("NewGUI: %v", err)
-	}
-	if err := g2.ReportUsageBatch(ctx, []UsageReport{rep}); !errors.Is(err, ErrRemote) {
-		t.Errorf("ReportUsageBatch short ack: %v, want tube.ErrRemote", err)
+	g2 := wireGUI(t, ackSrv.URL)
+	if err := g2.ReportUsageWire(ctx, []UsageReport{rep}); !errors.Is(err, ErrRemote) {
+		t.Errorf("ReportUsageWire short ack: %v, want tube.ErrRemote", err)
 	}
 }

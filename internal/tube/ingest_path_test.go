@@ -2,12 +2,15 @@ package tube
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"tdp/internal/cluster"
 )
 
 func TestUsageBatchEndpoint(t *testing.T) {
@@ -18,7 +21,7 @@ func TestUsageBatchEndpoint(t *testing.T) {
 	srv, _ := NewServer(opt)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	gui, _ := NewGUI(ts.URL)
+	gui := wireGUI(t, ts.URL)
 	ctx := context.Background()
 
 	batch := []UsageReport{
@@ -26,8 +29,8 @@ func TestUsageBatchEndpoint(t *testing.T) {
 		{User: "user1", Class: "web", VolumeMB: 4},
 		{User: "user2", Class: "video", VolumeMB: 50},
 	}
-	if err := gui.ReportUsageBatch(ctx, batch); err != nil {
-		t.Fatalf("ReportUsageBatch: %v", err)
+	if err := gui.ReportUsageWire(ctx, batch); err != nil {
+		t.Fatalf("ReportUsageWire: %v", err)
 	}
 	ct := opt.Measurement().ClassTotals()
 	if ct[0] != 7 || ct[2] != 50 {
@@ -37,17 +40,17 @@ func TestUsageBatchEndpoint(t *testing.T) {
 	// A batch with one bad report is rejected atomically.
 	bad := []UsageReport{
 		{User: "user3", Class: "web", VolumeMB: 1},
-		{User: "user3", Class: "smtp", VolumeMB: 1},
+		{User: "user3", Class: "ftp", VolumeMB: -1},
 	}
-	if err := gui.ReportUsageBatch(ctx, bad); err == nil {
-		t.Fatal("bad batch accepted over the wire")
+	if err := gui.ReportUsageWire(ctx, bad); !errors.Is(err, ErrRemote) {
+		t.Fatalf("bad batch: err = %v, want ErrRemote", err)
 	}
 	if ut := opt.Measurement().UserTotals(); ut["user3"] != 0 {
 		t.Errorf("rejected batch left residue: %v", ut)
 	}
 
-	// Malformed JSON → 400.
-	resp, err := http.Post(ts.URL+"/usage/batch", "application/json", strings.NewReader("{not json"))
+	// A body that is not a wire frame → 400.
+	resp, err := http.Post(ts.URL+"/usage/wire", cluster.WireContentType, strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestServerRequestCounters(t *testing.T) {
 	srv, _ := NewServer(opt)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	gui, _ := NewGUI(ts.URL)
+	gui := wireGUI(t, ts.URL)
 	ctx := context.Background()
 
 	if _, err := gui.PullPrice(ctx); err != nil {
@@ -74,15 +77,15 @@ func TestServerRequestCounters(t *testing.T) {
 	if _, err := gui.PullPrice(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := gui.ReportUsage(ctx, UsageReport{User: "u", Class: "web", VolumeMB: 1}); err != nil {
+	if err := gui.ReportUsageWire(ctx, []UsageReport{{User: "u", Class: "web", VolumeMB: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := gui.ReportUsageBatch(ctx, []UsageReport{{User: "u", Class: "ftp", VolumeMB: 1}}); err != nil {
+	if err := gui.ReportUsageWire(ctx, []UsageReport{{User: "u", Class: "ftp", VolumeMB: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
 	counts := srv.RequestCounts()
-	if counts["price"] != 2 || counts["usage"] != 1 || counts["usage_batch"] != 1 {
+	if counts["price"] != 2 || counts["usage_wire"] != 2 {
 		t.Errorf("RequestCounts = %v", counts)
 	}
 }

@@ -1,6 +1,7 @@
 package tube
 
 import (
+	"bytes"
 	"context"
 	"net/http/httptest"
 	"strings"
@@ -21,27 +22,27 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("NewServer: %v", err)
 	}
 
-	do := func(method, path, body string) *httptest.ResponseRecorder {
+	do := func(method, path string, body []byte) *httptest.ResponseRecorder {
 		t.Helper()
 		var r *httptest.ResponseRecorder = httptest.NewRecorder()
-		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		req := httptest.NewRequest(method, path, bytes.NewReader(body))
 		srv.ServeHTTP(r, req)
 		return r
 	}
-	if w := do("GET", "/price", ""); w.Code != 200 {
+	if w := do("GET", "/price", nil); w.Code != 200 {
 		t.Fatalf("GET /price = %d", w.Code)
 	}
-	if w := do("POST", "/usage", `{"user":"u1","class":"web","volumeMB":5}`); w.Code != 204 {
-		t.Fatalf("POST /usage = %d: %s", w.Code, w.Body)
+	if w := do("POST", "/usage/wire", encodeWire(t, []UsageReport{{User: "u1", Class: "web", VolumeMB: 5}})); w.Code != 200 {
+		t.Fatalf("POST /usage/wire = %d: %s", w.Code, w.Body)
 	}
-	if w := do("POST", "/usage/batch", `[{"user":"u2","class":"ftp","volumeMB":3},{"user":"u1","class":"web","volumeMB":1}]`); w.Code != 200 {
-		t.Fatalf("POST /usage/batch = %d: %s", w.Code, w.Body)
+	if w := do("POST", "/usage/wire", encodeWire(t, []UsageReport{{User: "u2", Class: "ftp", VolumeMB: 3}, {User: "u1", Class: "web", VolumeMB: 1}})); w.Code != 200 {
+		t.Fatalf("POST /usage/wire = %d: %s", w.Code, w.Body)
 	}
-	if w := do("POST", "/usage", `{"user":"u1","class":"nope","volumeMB":5}`); w.Code != 400 {
-		t.Fatalf("bad class = %d, want 400", w.Code)
+	if w := do("POST", "/usage/wire", encodeWire(t, []UsageReport{{User: "u1", Class: "web", VolumeMB: -5}})); w.Code != 400 {
+		t.Fatalf("bad volume = %d, want 400", w.Code)
 	}
 
-	w := do("GET", "/metrics", "")
+	w := do("GET", "/metrics", nil)
 	if w.Code != 200 {
 		t.Fatalf("GET /metrics = %d", w.Code)
 	}
@@ -52,12 +53,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE tube_http_requests_total counter\n",
 		`tube_http_requests_total{handler="price"} 1` + "\n",
-		`tube_http_requests_total{handler="usage"} 2` + "\n",
+		`tube_http_requests_total{handler="usage_wire"} 3` + "\n",
 		"# TYPE tube_http_request_seconds histogram\n",
 		`tube_http_request_seconds_bucket{handler="price",le="+Inf"} 1` + "\n",
 		"ingest_reports_total 3\n",
-		"ingest_batches_total 1\n",
+		"ingest_batches_total 2\n",
 		"ingest_reports_rejected_total 1\n",
+		"cluster_wire_reports_total 3\n",
 		"# TYPE ingest_shard_users gauge\n",
 		"tube_current_period 0\n",
 		"tube_billing_periods 0\n",
@@ -70,7 +72,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	counts := srv.RequestCounts()
-	if counts["usage"] != 2 || counts["metrics"] != 1 {
+	if counts["usage_wire"] != 3 || counts["metrics"] != 1 {
 		t.Errorf("RequestCounts = %v", counts)
 	}
 }

@@ -5,14 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sync"
 	"time"
 
+	"tdp/internal/cluster"
 	"tdp/internal/ingest"
 	"tdp/internal/obs"
+	"tdp/internal/wire"
 )
 
 // PriceInfo is the payload the communication engine publishes: the reward
@@ -24,27 +27,26 @@ type PriceInfo struct {
 	Rewards []float64 `json:"rewards"`
 }
 
-// UsageReport is the payload the emulated access network (standing in for
-// the IPtables counters) posts to account a user's traffic. It is the
-// ingestion engine's wire format: POST /usage takes one, POST
-// /usage/batch takes a JSON array.
+// UsageReport is one record the emulated access network (standing in
+// for the IPtables counters) reports to account a user's traffic.
+// Clients encode batches of them into wire frames (GUI.ReportUsageWire)
+// for POST /usage/wire, the server's one usage endpoint.
 type UsageReport = ingest.Report
 
-// BatchAck is the /usage/batch response: how many reports were
-// accounted. A batch is all-or-nothing, so Accepted is always the full
-// batch size on success.
-type BatchAck struct {
-	Accepted int `json:"accepted"`
-}
-
 // Server is the TUBE communication engine: it exposes the optimizer's
-// prices to GUI clients and accepts usage accounting, single reports or
-// batches. The paper runs this channel over SSL/TLS; transport security
-// is orthogonal here (DESIGN.md §2) — wrap the handler in your TLS
-// listener of choice in production.
+// prices to GUI clients and accepts usage accounting as wire frames,
+// applied before they are acknowledged. The paper runs this channel
+// over SSL/TLS; transport security is orthogonal here (DESIGN.md §2) —
+// wrap the handler in your TLS listener of choice in production.
 type Server struct {
 	opt *Optimizer
 	mux *http.ServeMux
+
+	// decPool decodes POST /usage/wire bodies; wireReports and
+	// wireRejected count the reports each ack accepted and disowned.
+	decPool      sync.Pool // *wire.Decoder
+	wireReports  *obs.Counter
+	wireRejected *obs.Counter
 
 	// reg is the server's metric namespace: per-handler request counters
 	// and latency histograms (maintained by the counting middleware),
@@ -65,12 +67,12 @@ type Server struct {
 	httpSrv *http.Server // guarded by mu: non-nil once Serve has been called
 }
 
-// Request-body bounds: a single report is tiny, a JSON batch is capped
-// well above the largest batch the harnesses send. Oversize bodies are
+// Request-body bounds: a wire body holds two full-size frames, a ring
+// config is capped far above any real membership. Oversize bodies are
 // rejected with 413 and counted in tube_http_rejected_total.
 const (
-	maxUsageBody = 64 << 10
-	maxBatchBody = 16 << 20
+	maxWireBody = 2 * wire.DefaultMaxFrameBytes
+	maxRingBody = 16 << 20
 )
 
 // latencyBuckets spans 1µs…8s in powers of two — wide enough for an
@@ -82,6 +84,10 @@ func NewServer(opt *Optimizer) (*Server, error) {
 	if opt == nil {
 		return nil, fmt.Errorf("nil optimizer: %w", ErrBadInput)
 	}
+	tab, err := wire.NewClassTable(opt.Measurement().Classes())
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		opt:      opt,
 		mux:      http.NewServeMux(),
@@ -90,11 +96,13 @@ func NewServer(opt *Optimizer) (*Server, error) {
 		rejected: make(map[string]*obs.Counter),
 		done:     make(chan struct{}),
 	}
+	s.decPool.New = func() any { return wire.NewDecoder(tab) }
+	s.wireReports = s.reg.Counter("cluster_wire_reports_total", "reports accepted over the wire ingest path", nil)
+	s.wireRejected = s.reg.Counter("cluster_wire_rejected_total", "reports rejected as not-owned on the wire ingest path", nil)
 	s.handle("GET /price", "price", s.handlePrice)
 	s.handle("GET /history", "history", s.handleHistory)
 	s.handle("GET /bill", "bill", s.handleBill)
-	s.handle("POST /usage", "usage", s.handleUsage)
-	s.handle("POST /usage/batch", "usage_batch", s.handleUsageBatch)
+	s.handle("POST /usage/wire", "usage_wire", s.handleUsageWire)
 	s.handle("GET /metrics", "metrics", s.handleMetrics)
 	s.handle("GET /healthz", "healthz", s.handleHealthz)
 	opt.Measurement().Instrument(s.reg)
@@ -141,13 +149,13 @@ func (s *Server) handle(pattern, name string, h http.HandlerFunc) {
 }
 
 // Registry returns the server's metric registry, for embedding tools
-// (tubeload, tubesim) that want to dump or extend the server's metrics.
+// (tubesim, tubeperf) that want to read, dump or extend its metrics.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // EnablePprof mounts the net/http/pprof profiling handlers under
 // /debug/pprof/. Off by default: the profile endpoints expose stacks
 // and heap contents, so production deployments opt in explicitly
-// (tubesim/tubeload do so behind their -pprof flag).
+// (tubesim does so behind its -pprof flag).
 func (s *Server) EnablePprof() {
 	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -196,10 +204,9 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Shutdown gracefully stops a Serve-d server: the listener closes
-// immediately, in-flight requests (usage batches mid-ingest included)
-// run to completion or until ctx expires, and a clustered node drains
-// its acked wire batches into the engine before returning. A server
-// never started still drains its cluster plane.
+// immediately, and in-flight requests (usage frames mid-apply included)
+// run to completion or until ctx expires. A cluster follower also stops
+// its replication loop, whether or not the server was ever started.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	srv := s.httpSrv
@@ -208,9 +215,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if srv != nil {
 		err = srv.Shutdown(ctx)
 	}
-	if cerr := s.closeCluster(ctx); err == nil {
-		err = cerr
-	}
+	s.closeCluster()
 	return err
 }
 
@@ -275,32 +280,129 @@ func (s *Server) handleBill(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, billing.Statements())
 }
 
-func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
-	var rep UsageReport
-	if err := decodeJSONBody(w, r, maxUsageBody, &rep); err != nil {
-		s.httpBodyError(w, err, "usage", "malformed usage report")
-		return
-	}
-	if err := s.opt.Measurement().Record(rep.User, rep.Class, rep.VolumeMB); err != nil {
-		s.usageError(w, err, []UsageReport{rep})
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+// wireBatch is one admitted frame of a POST /usage/wire body, copied
+// out of the decoder's scratch so the next frame can be decoded before
+// any of them is applied. The user strings stay interned; only the
+// slice headers copy.
+type wireBatch struct {
+	users  []string
+	hashes []uint32
+	recs   []ingest.WireRecord
 }
 
-func (s *Server) handleUsageBatch(w http.ResponseWriter, r *http.Request) {
-	var reps []UsageReport
-	if err := decodeJSONBody(w, r, maxBatchBody, &reps); err != nil {
-		s.httpBodyError(w, err, "usage_batch", "malformed usage batch")
+// handleUsageWire is the server's one usage door. It decodes every frame
+// of the body in its own terms (user table plus index records, no
+// []ingest.Report), validates it (CheckWire) and checks ownership before
+// anything is applied, so a body answered 400 or 413 leaves nothing
+// behind. It then applies every admitted frame (ApplyWire) and only then
+// acks: an acked report is in the engine, and a period close that starts
+// after the ack counts it. Overload shows as request latency, bounded by
+// the sender's in-flight window, never as dropped reports.
+//
+// Ownership follows this node's CURRENT ring view, checked once per
+// DISTINCT user through the decoder's cached hashes; misrouted reports
+// are rejected by index (spanning all frames in the body) and the ack's
+// RingVersion tells a stale router to refetch. A server outside a
+// cluster is a one-node ring: it owns every user and acks RingVersion 0.
+func (s *Server) handleUsageWire(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWireBody))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			s.rejected["usage_wire"].Inc()
+			http.Error(w, fmt.Sprintf("wire body over %d bytes", maxWireBody), http.StatusRequestEntityTooLarge)
+			return
+		}
+		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := s.opt.Measurement().RecordBatch(reps); err != nil {
-		// All-or-nothing: on error nothing was accounted, so the client
-		// can safely retry the whole batch after fixing it.
-		s.usageError(w, err, reps)
-		return
+	dec := s.decPool.Get().(*wire.Decoder)
+	defer s.decPool.Put(dec)
+	var (
+		ring   *cluster.Ring
+		selfID string
+	)
+	if cl := s.cl; cl != nil {
+		ring, selfID = cl.ring.Load(), cl.selfID
 	}
-	writeJSON(w, http.StatusOK, BatchAck{Accepted: len(reps)})
+	eng := s.opt.Measurement()
+	var admitted []wireBatch
+	var rejected []int
+	base := 0 // report index of the current frame's first record
+	for buf := body; len(buf) > 0; {
+		users, hashes, recs, n, err := dec.DecodeRecords(buf)
+		if err == nil {
+			err = eng.CheckWire(users, recs)
+		}
+		if err != nil {
+			status := http.StatusBadRequest
+			if errors.Is(err, wire.ErrTooLarge) {
+				s.rejected["usage_wire"].Inc()
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), status)
+			return
+		}
+		buf = buf[n:]
+		var owned []ingest.WireRecord
+		if ownedUser := ownership(ring, selfID, hashes); ownedUser == nil {
+			owned = append(owned, recs...)
+		} else {
+			for i := range recs {
+				if ownedUser[recs[i].User] {
+					owned = append(owned, recs[i])
+				} else {
+					rejected = append(rejected, base+i)
+				}
+			}
+		}
+		if len(owned) > 0 {
+			admitted = append(admitted, wireBatch{
+				users:  append([]string(nil), users...),
+				hashes: append([]uint32(nil), hashes...),
+				recs:   owned,
+			})
+		}
+		base += len(recs)
+	}
+	accepted := 0
+	for _, b := range admitted {
+		if err := eng.ApplyWire(b.users, b.hashes, b.recs); err != nil {
+			// Unreachable: every frame passed CheckWire above.
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		accepted += len(b.recs)
+	}
+	s.wireReports.Add(int64(accepted))
+	s.wireRejected.Add(int64(len(rejected)))
+	var version uint64
+	if ring != nil {
+		version = ring.Version()
+	}
+	writeJSON(w, http.StatusOK, cluster.WireAck{
+		Accepted:    accepted,
+		Rejected:    rejected,
+		RingVersion: version,
+	})
+}
+
+// ownership returns, per frame user, whether selfID owns it under ring,
+// or nil when it owns them all (always so without a ring).
+func ownership(ring *cluster.Ring, selfID string, hashes []uint32) []bool {
+	if ring == nil {
+		return nil
+	}
+	owned := make([]bool, len(hashes))
+	all := true
+	for u, h := range hashes {
+		owned[u] = ring.OwnsHash(selfID, h)
+		all = all && owned[u]
+	}
+	if all {
+		return nil
+	}
+	return owned
 }
 
 // decodeJSONBody decodes a size-bounded JSON request body.
@@ -320,33 +422,6 @@ func (s *Server) httpBodyError(w http.ResponseWriter, err error, handler, malfor
 		return
 	}
 	http.Error(w, malformed, http.StatusBadRequest)
-}
-
-// usageError writes an ingest failure. A clustered node rejecting a
-// misrouted user answers 421 with an X-Tube-Owner redirect hint naming
-// the node that does own the user.
-func (s *Server) usageError(w http.ResponseWriter, err error, reps []UsageReport) {
-	if errors.Is(err, ingest.ErrNotOwned) && s.cl != nil {
-		ring := s.cl.ring.Load()
-		for i := range reps {
-			if reps[i].User != "" && !ring.Owns(s.cl.selfID, reps[i].User) {
-				w.Header().Set("X-Tube-Owner", ring.Owner(reps[i].User).Addr)
-				break
-			}
-		}
-	}
-	http.Error(w, err.Error(), usageStatus(err))
-}
-
-func usageStatus(err error) int {
-	if errors.Is(err, ingest.ErrNotOwned) {
-		// The user hashes to another node's range: misdirected request.
-		return http.StatusMisdirectedRequest
-	}
-	if errors.Is(err, ErrBadInput) || errors.Is(err, ingest.ErrBadReport) {
-		return http.StatusBadRequest
-	}
-	return http.StatusInternalServerError
 }
 
 // handleMetrics serves the Prometheus exposition: the server's own

@@ -2,7 +2,6 @@ package tube
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,74 +11,9 @@ import (
 	"tdp/internal/wire"
 )
 
-// BenchmarkUsageHTTP measures end-to-end ingestion over real HTTP:
-// per-report POST /usage versus POST /usage/batch at growing batch
-// sizes. The reported reports/s metric is what tubeload measures from
-// outside the process.
-func BenchmarkUsageHTTP(b *testing.B) {
-	newServer := func(b *testing.B) (*httptest.Server, *Optimizer) {
-		opt, err := NewOptimizer(OptimizerConfig{Scenario: testScenario(), Classes: testClasses()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv, err := NewServer(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return httptest.NewServer(srv), opt
-	}
-
-	b.Run("single", func(b *testing.B) {
-		ts, _ := newServer(b)
-		defer ts.Close()
-		body, _ := json.Marshal(UsageReport{User: "user1", Class: "web", VolumeMB: 1})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resp, err := http.Post(ts.URL+"/usage", "application/json", bytes.NewReader(body))
-			if err != nil {
-				b.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusNoContent {
-				b.Fatalf("status %d", resp.StatusCode)
-			}
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reports/s")
-	})
-
-	for _, size := range []int{16, 256} {
-		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			ts, _ := newServer(b)
-			defer ts.Close()
-			batch := make([]UsageReport, size)
-			for i := range batch {
-				batch[i] = UsageReport{
-					User:     fmt.Sprintf("user%03d", i%64),
-					Class:    testClasses()[i%3],
-					VolumeMB: 1,
-				}
-			}
-			body, _ := json.Marshal(batch)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resp, err := http.Post(ts.URL+"/usage/batch", "application/json", bytes.NewReader(body))
-				if err != nil {
-					b.Fatal(err)
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					b.Fatalf("status %d", resp.StatusCode)
-				}
-			}
-			b.ReportMetric(float64(b.N*size)/b.Elapsed().Seconds(), "reports/s")
-		})
-	}
-}
-
-// BenchmarkUsageWireHTTP is BenchmarkUsageHTTP's binary twin: the same
-// batches over POST /usage/wire on a single-node cluster. Compare the
-// reports/s metric against batch= runs above for the codec's end-to-end
-// win.
+// BenchmarkUsageWireHTTP measures end-to-end ingestion over real HTTP:
+// one wire frame per POST /usage/wire to a single-node cluster, timed
+// through decode, validation, ownership, the engine apply and the ack.
 func BenchmarkUsageWireHTTP(b *testing.B) {
 	for _, size := range []int{16, 256} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
@@ -92,7 +26,7 @@ func BenchmarkUsageWireHTTP(b *testing.B) {
 				b.Fatal(err)
 			}
 			cfg := cluster.Config{Version: 1, Members: []cluster.Member{{ID: "n0", Addr: "http://local"}}}
-			if err := srv.EnableCluster(ClusterOptions{SelfID: "n0", Ring: cfg, QueueDepth: 4096}); err != nil {
+			if err := srv.EnableCluster(ClusterOptions{SelfID: "n0", Ring: cfg}); err != nil {
 				b.Fatal(err)
 			}
 			ts := httptest.NewServer(srv)

@@ -7,10 +7,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
+	"tdp/internal/cluster"
 	"tdp/internal/core"
+	"tdp/internal/ingest"
+	"tdp/internal/wire"
 )
 
 // testScenario is a small 12-period, 3-class deployment: web, ftp, and
@@ -35,6 +37,20 @@ func testScenario() *core.Scenario {
 }
 
 func testClasses() []string { return []string{"web", "ftp", "video"} }
+
+// wireGUI returns a GUI for baseURL with the wire encoder over the test
+// classes enabled.
+func wireGUI(t *testing.T, baseURL string) *GUI {
+	t.Helper()
+	gui, err := NewGUI(baseURL)
+	if err != nil {
+		t.Fatalf("NewGUI: %v", err)
+	}
+	if err := gui.EnableWire(testClasses()); err != nil {
+		t.Fatalf("EnableWire: %v", err)
+	}
+	return gui
+}
 
 // NewClassProfilerTruth returns a generator of per-period per-class
 // usage under the test scenario's true betas.
@@ -194,10 +210,7 @@ func TestServerAndGUIEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	gui, err := NewGUI(ts.URL)
-	if err != nil {
-		t.Fatalf("NewGUI: %v", err)
-	}
+	gui := wireGUI(t, ts.URL)
 	ctx := context.Background()
 
 	info, err := gui.PullPrice(ctx)
@@ -212,8 +225,8 @@ func TestServerAndGUIEndToEnd(t *testing.T) {
 	}
 
 	// Report usage over the wire and close the period.
-	if err := gui.ReportUsage(ctx, UsageReport{User: "user2", Class: "video", VolumeMB: 42}); err != nil {
-		t.Fatalf("ReportUsage: %v", err)
+	if err := gui.ReportUsageWire(ctx, []UsageReport{{User: "user2", Class: "video", VolumeMB: 42}}); err != nil {
+		t.Fatalf("ReportUsageWire: %v", err)
 	}
 	observed, err := opt.ClosePeriod()
 	if err != nil {
@@ -250,13 +263,28 @@ func TestServerRejectsBadUsage(t *testing.T) {
 	srv, _ := NewServer(opt)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	for _, tc := range []struct{ name, path, body string }{
-		{"unknown class", "/usage", `{"user":"u","class":"nope","volumeMB":1}`},
-		{"empty user", "/usage", `{"user":"","class":"web","volumeMB":1}`},
-		{"negative volume in batch", "/usage/batch",
-			`[{"user":"u","class":"web","volumeMB":2},{"user":"u","class":"ftp","volumeMB":-1}]`},
+	// A class the server does not account only encodes against another
+	// class table, which the frame's table hash exposes.
+	otherTab, err := wire.NewClassTable([]string{"web", "ftp", "nope"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknownClass, err := wire.NewEncoder(otherTab).Encode([]UsageReport{{User: "u", Class: "nope", VolumeMB: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"unknown class", unknownClass},
+		{"empty user", encodeWire(t, []UsageReport{{User: "", Class: "web", VolumeMB: 1}})},
+		{"negative volume in batch", encodeWire(t, []UsageReport{
+			{User: "u", Class: "web", VolumeMB: 2}, {User: "u", Class: "ftp", VolumeMB: -1}})},
+		{"volume over the cap in batch", encodeWire(t, []UsageReport{
+			{User: "u", Class: "web", VolumeMB: 2}, {User: "v", Class: "ftp", VolumeMB: 2 * ingest.MaxReportMB}})},
 	} {
-		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		resp, err := http.Post(ts.URL+"/usage/wire", cluster.WireContentType, bytes.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +293,7 @@ func TestServerRejectsBadUsage(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
 	}
-	// All-or-nothing: the rejected batch's valid report was not applied.
+	// All-or-nothing: the rejected batches' valid reports were not applied.
 	for i, v := range opt.Measurement().ClassTotals() {
 		if v != 0 {
 			t.Errorf("class %d total %v after rejected requests, want 0", i, v)

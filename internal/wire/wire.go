@@ -17,7 +17,7 @@
 //	classHash uint32 LE        FNV-1a over the class names (table check)
 //	C         uvarint          class count, must match the table
 //	counts    C × uvarint      reports per class (header summary: lets a
-//	                           receiver account or shed a frame per class
+//	                           receiver account a frame per class
 //	                           without decoding the records)
 //	U         uvarint          user-table size
 //	users     U × (uvarint len, bytes)   in order of first appearance
@@ -330,12 +330,11 @@ func (d *Decoder) checkFrame(buf []byte) (payload []byte, total int, err error) 
 // frame-index form (ingest.WireRecord.Class indexes the decoder's class
 // table, which matches the engine's class order). All three slices are
 // decoder-owned scratch, valid only until the next Decode/DecodeRecords
-// call — callers that queue the frame must copy them.
+// call — callers that keep the frame past the next call must copy them.
 //
-// Feeding the result to Engine.ApplyWire is the cluster fast path; it
-// produces counters bit-identical to Decode + RecordBatch on an engine
-// with no ownership filter (the reference twin, pinned by the property
-// tests).
+// Feeding the result to Engine.ApplyWire is the server's ingest path;
+// it produces counters bit-identical to Decode + RecordBatch (the
+// reference twin, pinned by the property tests).
 func (d *Decoder) DecodeRecords(buf []byte) (users []string, hashes []uint32, recs []ingest.WireRecord, consumed int, err error) {
 	payload, total, err := d.checkFrame(buf)
 	if err != nil {
