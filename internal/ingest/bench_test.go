@@ -94,10 +94,11 @@ func BenchmarkIngestRollover(b *testing.B) {
 		if err := eng.RecordBatch(batch); err != nil {
 			b.Fatal(err)
 		}
-		ct, _ := eng.Rollover()
-		if ct[0] == 0 {
+		cut := eng.Rollover()
+		if cut.ClassTotals()[0] == 0 {
 			b.Fatal("empty rollover")
 		}
+		cut.Release()
 	}
 }
 

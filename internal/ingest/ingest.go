@@ -1,46 +1,43 @@
 // Package ingest is the high-throughput usage accounting engine behind
 // the TUBE measurement path. The paper's prototype metered per-user
-// traffic with IPtables counters and a handful of testbed users (§VI);
-// scaling the same accounting to "heavy traffic from millions of users"
-// (ROADMAP north star) makes the ingestion path — not the optimizer —
-// the throughput bottleneck, so this package trades the single global
-// mutex of the original measurement engine for a sharded, lock-striped
-// design:
+// traffic with IPtables byte counters read once per period (§VI); this
+// package keeps that shape — integer counters on a user table — and
+// stripes it for concurrency:
 //
-//   - N shards (power of two), each owning a per-user → per-class-index
-//     counter map guarded by its own mutex. A report's shard is the
-//     FNV-1a hash of its user, so one user's counters always live on one
-//     shard and per-user accumulation order is preserved.
+//   - N shards (power of two), each owning one persistent user table
+//     (user → dense id, appended once in a user's lifetime) guarded by
+//     its own mutex. A report's shard is the FNV-1a hash of its user, so
+//     one user's counters always live on one shard.
+//   - Exact integer counters: a volume is rounded at validation to
+//     units of 2^-20 MB and added to a 128-bit counter, so sums commute:
+//     totals do not depend on shard count, arrival order or batching,
+//     and need no sort.
+//   - A per-period sparse set: a persistent slot[id] indexes the ids
+//     touched this period and their compact counters, so a period costs
+//     memory and close time in the users it touched, not in every user
+//     ever seen.
 //   - Batched ingestion: RecordBatch validates a whole []Report up
 //     front (all-or-nothing) and then applies it with ONE lock
-//     acquisition per touched shard, amortizing synchronization across
-//     the batch. ApplyWire (wireapply.go) does the same for a decoded
-//     wire frame without materializing reports; it is what the TUBE
-//     server's one usage endpoint, POST /usage/wire, calls on every
-//     frame before it acknowledges the request. Record and RecordBatch
-//     serve in-process callers.
+//     acquisition per touched shard. ApplyWire (wireapply.go) does the
+//     same for a decoded wire frame without materializing reports; it is
+//     what the TUBE server's one usage endpoint, POST /usage/wire, calls
+//     on every frame before it acknowledges the request. Record and
+//     RecordBatch serve in-process callers.
 //   - One validation rule on every path: a known class, a non-empty
-//     user, and a volume in [0, MaxReportMB], so no sequence of
-//     accepted reports can overflow a counter.
-//   - Merge-on-read totals: ClassTotals/UserTotals walk the shards only
-//     when asked (period close, monitoring), keeping the write path
-//     free of aggregation work.
-//   - Atomic period rollover: Rollover swaps every shard's map inside a
-//     single all-shards critical section, so each report lands entirely
-//     in the closed period or entirely in the new one — never split,
-//     never dropped.
-//
-// Determinism contract: totals are accumulated in sorted-user order
-// (and, per user, in class-index order), so for the same serially
-// issued report stream the results are bit-identical for every shard
-// count. The property tests assert this at 1, 4, and 16 shards.
+//     user, and a volume in [0, MaxReportMB].
+//   - Atomic period rollover: Rollover swaps every shard's period buffer
+//     for an empty one inside a single all-shards critical section that
+//     is O(shards), so each report lands entirely in the closed period
+//     or entirely in the new one — never split, never dropped — and the
+//     close then walks only the closed period's touched ids.
 package ingest
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -58,22 +55,62 @@ type Report struct {
 	VolumeMB float64 `json:"volumeMB"`
 }
 
+// counter is one 128-bit unsigned sum of volume units.
+type counter struct{ hi, lo uint64 }
+
+func (c *counter) add(u uint64) {
+	var carry uint64
+	c.lo, carry = bits.Add64(c.lo, u, 0)
+	c.hi += carry
+}
+
+func (c *counter) addCounter(d counter) {
+	var carry uint64
+	c.lo, carry = bits.Add64(c.lo, d.lo, 0)
+	c.hi += d.hi + carry
+}
+
+// mb converts a unit sum to MB: exact below 2^53 units (2^33 MB), and
+// within a rounding or two of exact above.
+func (c counter) mb() float64 {
+	return (float64(c.hi)*0x1p64 + float64(c.lo)) / unitsPerMB
+}
+
+// period is one accounting period's sparse set over a shard's user ids:
+// ids lists the ids touched so far in first-touch order, and ctr holds
+// their counters, nClasses per touched id in the same order.
+type period struct {
+	ids []int32
+	ctr []counter
+	n   int64 // reports accepted
+	b   int64 // batch lock acquisitions (grouped paths)
+}
+
+// reset empties the buffer, keeping its capacity.
+func (p *period) reset() {
+	p.ids, p.ctr, p.n, p.b = p.ids[:0], p.ctr[:0], 0, 0
+}
+
 // shard is one lock stripe. The padding keeps adjacent shard mutexes on
 // separate cache lines so uncontended shards do not false-share.
 type shard struct {
-	mu     sync.Mutex
-	byUser map[string][]float64 // guarded by mu: user → per-class-index MB
-	n      int64                // guarded by mu: reports accepted
-	b      int64                // guarded by mu: batch lock acquisitions (grouped path)
-	_      [88]byte
+	mu    sync.Mutex
+	ids   map[string]int32 // guarded by mu: the user table, user → id
+	names []string         // guarded by mu: id → user; append-only, so a copied header stays valid
+	slot  []int32          // guarded by mu: id → index into cur.ids, valid only when cur.ids[slot[id]] == id
+	cur   period           // guarded by mu: the period in progress
+	_     [64]byte
 }
 
-// Engine is the sharded accounting engine for one accounting period.
+// Engine is the sharded accounting engine: per shard, a user table that
+// lives as long as the engine and the accounting period in progress.
 type Engine struct {
 	classes  []string
 	classIdx map[string]int // precomputed set: O(1) class check on the hot path
+	zeros    []counter      // nClasses zero counters, appended on a user's first touch in a period
 	shards   []shard
 	mask     uint32
+	spare    atomic.Pointer[Cut]           // a released cut, reused by the next Rollover
 	met      atomic.Pointer[engineMetrics] // nil until Instrument
 	wirePool wireWSHolder                  // ApplyWire grouping workspaces (see wireapply.go)
 }
@@ -125,11 +162,12 @@ func NewEngine(classes []string, shards int) (*Engine, error) {
 	e := &Engine{
 		classes:  append([]string(nil), classes...),
 		classIdx: classIdx,
+		zeros:    make([]counter, len(classes)),
 		shards:   make([]shard, shards),
 		mask:     uint32(shards - 1),
 	}
 	for i := range e.shards {
-		e.shards[i].byUser = make(map[string][]float64)
+		e.shards[i].ids = make(map[string]int32)
 	}
 	return e, nil
 }
@@ -143,8 +181,9 @@ func (e *Engine) NumShards() int { return len(e.shards) }
 // UserHash is the FNV-1a hash placing a user key, shared by the
 // in-process shard mapping below and the cluster ring's consistent-hash
 // placement (internal/cluster), so one user's reports land on one shard
-// of one node under every topology.
-func UserHash(user string) uint32 {
+// of one node under every topology. It takes the user as a string or as
+// bytes (a wire frame's view), with the same result.
+func UserHash[T string | []byte](user T) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(user); i++ {
 		h ^= uint32(user[i])
@@ -153,22 +192,29 @@ func UserHash(user string) uint32 {
 	return h
 }
 
-// shardIdxFor maps a user to its stripe via FNV-1a (inlined to keep the
-// hot path allocation-free).
+// shardIdxFor maps a user to its stripe via FNV-1a.
 func (e *Engine) shardIdxFor(user string) int {
 	return int(UserHash(user) & e.mask)
 }
 
-// MaxReportMB caps one report's volume at 2^40 MB (about 1.1 EB). The
-// counters are float64 sums, and n reports of at most 2^40 MB sum to at
-// most n·2^40, which stays below math.MaxFloat64 (about 2^1024) for
-// every n below 2^984, about 10^296 reports: no sequence of accepted
-// reports can drive a period total to +Inf.
+// MaxReportMB caps one report's volume at 2^40 MB (about 1.1 EB), which
+// is 2^60 units. Counters are 128-bit, so a counter or a class total
+// wraps only after 2^68 reports at the cap — far beyond any period.
 const MaxReportMB = 1 << 40
+
+// unitsPerMB is the metering resolution: volumes are counted in units
+// of 2^-20 MB (one byte in a binary megabyte), so every volume that is
+// a multiple of 2^-20 MB is metered exactly.
+const unitsPerMB = 1 << 20
 
 // validVolume is the one volume rule of every ingest path: non-negative
 // and at most MaxReportMB (NaN fails both comparisons, ±Inf the one).
 func validVolume(v float64) bool { return v >= 0 && v <= MaxReportMB }
+
+// units rounds a valid volume to the nearest metering unit, ties to
+// even. A valid volume is at most 2^60 units, so the int64 conversion
+// (one instruction, unlike a float-to-uint64 one) cannot overflow.
+func units(v float64) uint64 { return uint64(int64(math.RoundToEven(v * unitsPerMB))) }
 
 // validate checks one report and resolves its class index.
 func (e *Engine) validate(r *Report) (int, error) {
@@ -185,6 +231,46 @@ func (e *Engine) validate(r *Report) (int, error) {
 	return idx, nil
 }
 
+// id returns user's dense id on this shard, adding the user to the
+// table the first time it is seen. Under s.mu.
+func (s *shard) id(user string) int32 {
+	if id, ok := s.ids[user]; ok {
+		return id
+	}
+	return s.addUser(user)
+}
+
+// idBytes is id for a user given as bytes; only a first sighting
+// allocates the name.
+func (s *shard) idBytes(user []byte) int32 {
+	if id, ok := s.ids[string(user)]; ok { // no alloc: map index by []byte conversion
+		return id
+	}
+	return s.addUser(string(user))
+}
+
+func (s *shard) addUser(user string) int32 {
+	id := int32(len(s.names))
+	s.ids[user] = id
+	s.names = append(s.names, user)
+	s.slot = append(s.slot, 0)
+	return id
+}
+
+// counters returns where id's counters for the period in progress
+// start in cur.ctr, adding id to the period's sparse set with zeroed
+// counters on its first report of the period. Under s.mu.
+func (s *shard) counters(id int32, zeros []counter) int {
+	k := s.slot[id]
+	if int(k) >= len(s.cur.ids) || s.cur.ids[k] != id {
+		k = int32(len(s.cur.ids))
+		s.slot[id] = k
+		s.cur.ids = append(s.cur.ids, id)
+		s.cur.ctr = append(s.cur.ctr, zeros...)
+	}
+	return int(k) * len(zeros)
+}
+
 // Record accounts volumeMB of class traffic for user.
 func (e *Engine) Record(user, class string, volumeMB float64) error {
 	r := Report{User: user, Class: class, VolumeMB: volumeMB}
@@ -197,23 +283,13 @@ func (e *Engine) Record(user, class string, volumeMB float64) error {
 	}
 	s := &e.shards[e.shardIdxFor(user)]
 	s.mu.Lock()
-	s.apply(user, idx, volumeMB, len(e.classes))
+	s.cur.ctr[s.counters(s.id(user), e.zeros)+idx].add(units(volumeMB))
+	s.cur.n++
 	s.mu.Unlock()
 	if m := e.metrics(); m != nil {
 		m.records.Inc()
 	}
 	return nil
-}
-
-// apply accumulates under s.mu.
-func (s *shard) apply(user string, classIdx int, volumeMB float64, nClasses int) {
-	u := s.byUser[user]
-	if u == nil {
-		u = make([]float64, nClasses)
-		s.byUser[user] = u
-	}
-	u[classIdx] += volumeMB
-	s.n++
 }
 
 // RecordBatch accounts a whole batch with one lock acquisition per
@@ -237,46 +313,41 @@ func (e *Engine) RecordBatch(reports []Report) error {
 		}
 		idxs[i] = int32(idx)
 	}
-	nClasses := len(e.classes)
+	apply := func(s *shard, i int) {
+		r := &reports[i]
+		s.cur.ctr[s.counters(s.id(r.User), e.zeros)+int(idxs[i])].add(units(r.VolumeMB))
+		s.cur.n++
+	}
 	// Batches smaller than the stripe count rarely land two reports on
 	// one shard, so grouping cannot amortize anything: per-report
 	// locking beats building the per-shard buckets (which are sized by
 	// the shard count).
 	if len(reports) < len(e.shards) {
 		for i := range reports {
-			r := &reports[i]
-			s := &e.shards[e.shardIdxFor(r.User)]
+			s := &e.shards[e.shardIdxFor(reports[i].User)]
 			s.mu.Lock()
-			s.apply(r.User, int(idxs[i]), r.VolumeMB, nClasses)
+			apply(s, i)
 			s.mu.Unlock()
 		}
-		if m := e.metrics(); m != nil {
-			m.records.Add(int64(len(reports)))
-			m.batches.Inc()
+	} else {
+		perShard := make([][]int32, len(e.shards))
+		touched := make([]int, 0, 8)
+		for i := range reports {
+			si := e.shardIdxFor(reports[i].User)
+			if perShard[si] == nil {
+				touched = append(touched, si)
+			}
+			perShard[si] = append(perShard[si], int32(i))
 		}
-		return nil
-	}
-	// Group report indices by shard, preserving submission order within
-	// each shard (a user's reports keep their relative order because one
-	// user always hashes to one shard).
-	perShard := make([][]int32, len(e.shards))
-	touched := make([]int, 0, 8)
-	for i := range reports {
-		si := e.shardIdxFor(reports[i].User)
-		if perShard[si] == nil {
-			touched = append(touched, si)
+		for _, si := range touched {
+			s := &e.shards[si]
+			s.mu.Lock()
+			s.cur.b++
+			for _, i := range perShard[si] {
+				apply(s, int(i))
+			}
+			s.mu.Unlock()
 		}
-		perShard[si] = append(perShard[si], int32(i))
-	}
-	for _, si := range touched {
-		s := &e.shards[si]
-		s.mu.Lock()
-		s.b++
-		for _, i := range perShard[si] {
-			r := &reports[i]
-			s.apply(r.User, int(idxs[i]), r.VolumeMB, nClasses)
-		}
-		s.mu.Unlock()
 	}
 	if m := e.metrics(); m != nil {
 		m.records.Add(int64(len(reports)))
@@ -299,42 +370,44 @@ func (e *Engine) unlockAll() {
 	}
 }
 
-// ClassTotals returns the period-so-far aggregate volume per class,
-// ordered as Classes(). The merge walks users in sorted order so the
-// float accumulation order — and hence the result, bit for bit — is
-// independent of the shard count.
-func (e *Engine) ClassTotals() []float64 {
-	e.lockAll()
-	defer e.unlockAll()
-	return e.mergeClassTotals(e.sortedUsersLocked())
-}
-
-func (e *Engine) sortedUsersLocked() []string {
-	var n int
-	for i := range e.shards {
-		n += len(e.shards[i].byUser)
-	}
-	names := make([]string, 0, n)
-	for i := range e.shards {
-		for u := range e.shards[i].byUser {
-			names = append(names, u)
+// classTotals sums per-class counters of one period buffer into out.
+func classTotals(out []counter, p *period) {
+	nC := len(out)
+	for k := range p.ids {
+		for j, c := range p.ctr[k*nC : (k+1)*nC] {
+			out[j].addCounter(c)
 		}
 	}
-	sort.Strings(names)
-	return names
 }
 
-// mergeClassTotals must run with the shards locked (or on an owned
-// snapshot after Rollover's swap).
-func (e *Engine) mergeClassTotals(sortedUsers []string) []float64 {
-	out := make([]float64, len(e.classes))
-	for _, u := range sortedUsers {
-		vec := e.shards[e.shardIdxFor(u)].byUser[u]
-		for j, v := range vec {
-			out[j] += v
-		}
+// toMB converts class counters to MB, each once, after summing.
+func toMB(sums []counter) []float64 {
+	out := make([]float64, len(sums))
+	for j, c := range sums {
+		out[j] = c.mb()
 	}
 	return out
+}
+
+// userMB returns the MB total over classes of the k-th touched user.
+func (p *period) userMB(k, nC int) float64 {
+	var sum counter
+	for _, c := range p.ctr[k*nC : (k+1)*nC] {
+		sum.addCounter(c)
+	}
+	return sum.mb()
+}
+
+// ClassTotals returns the period-so-far aggregate volume per class,
+// ordered as Classes().
+func (e *Engine) ClassTotals() []float64 {
+	sums := make([]counter, len(e.classes))
+	e.lockAll()
+	for i := range e.shards {
+		classTotals(sums, &e.shards[i].cur)
+	}
+	e.unlockAll()
+	return toMB(sums)
 }
 
 // UserTotals returns the period-so-far total volume per user.
@@ -343,22 +416,12 @@ func (e *Engine) UserTotals() map[string]float64 {
 	defer e.unlockAll()
 	out := make(map[string]float64)
 	for i := range e.shards {
-		for u, vec := range e.shards[i].byUser {
-			var s float64
-			for _, v := range vec {
-				s += v
-			}
-			out[u] = s
+		s := &e.shards[i]
+		for k, id := range s.cur.ids {
+			out[s.names[id]] = s.cur.userMB(k, len(e.classes))
 		}
 	}
 	return out
-}
-
-// Users returns the users seen this period, sorted.
-func (e *Engine) Users() []string {
-	e.lockAll()
-	defer e.unlockAll()
-	return e.sortedUsersLocked()
 }
 
 // Accepted returns the number of reports accounted since the last
@@ -368,58 +431,92 @@ func (e *Engine) Accepted() int64 {
 	defer e.unlockAll()
 	var n int64
 	for i := range e.shards {
-		n += e.shards[i].n
+		n += e.shards[i].cur.n
 	}
 	return n
 }
 
-// Rollover atomically closes the period: every shard's map is swapped
-// for a fresh one inside a single all-shards critical section, so a
-// concurrent Record/RecordBatch lands entirely in the closed period or
-// entirely in the new one. It returns the closed period's per-class
-// totals (ordered as Classes()) and per-user totals, computed from the
-// owned snapshot outside the critical section.
-func (e *Engine) Rollover() (classTotals []float64, userTotals map[string]float64) {
-	old := make([]map[string][]float64, len(e.shards))
-	e.lockAll()
-	for i := range e.shards {
-		old[i] = e.shards[i].byUser
-		e.shards[i].byUser = make(map[string][]float64, len(old[i]))
-		e.shards[i].n = 0
-		e.shards[i].b = 0
-	}
-	e.unlockAll()
-
-	var n int
-	for _, m := range old {
-		n += len(m)
-	}
-	names := make([]string, 0, n)
-	userTotals = make(map[string]float64, n)
-	for _, m := range old {
-		for u, vec := range m {
-			names = append(names, u)
-			var s float64
-			for _, v := range vec {
-				s += v
-			}
-			userTotals[u] = s
-		}
-	}
-	sort.Strings(names)
-	classTotals = make([]float64, len(e.classes))
-	for _, u := range names {
-		vec := old[e.shardIdxFor(u)][u]
-		for j, v := range vec {
-			classTotals[j] += v
-		}
-	}
-	return classTotals, userTotals
+// Lookup returns the shard and dense id of a user the engine has ever
+// seen; ids are stable for the engine's lifetime.
+func (e *Engine) Lookup(user string) (shard int, id int32, ok bool) {
+	shard = e.shardIdxFor(user)
+	s := &e.shards[shard]
+	s.mu.Lock()
+	id, ok = s.ids[user]
+	s.mu.Unlock()
+	return shard, id, ok
 }
 
-// Reset closes the period and returns only its per-class totals,
-// mirroring the original serial measurement API.
-func (e *Engine) Reset() []float64 {
-	ct, _ := e.Rollover()
-	return ct
+// Names returns one shard's user table, indexed by id. The slice is a
+// snapshot: users added later do not appear in it, and it is never
+// written, so callers may read it without a lock.
+func (e *Engine) Names(shard int) []string {
+	s := &e.shards[shard]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.names[:len(s.names):len(s.names)]
+}
+
+// Cut is one closed period, owned by the caller of Rollover until
+// Release: per shard, the ids the period touched with their counters.
+type Cut struct {
+	e      *Engine
+	closed []period
+}
+
+// Engine returns the engine the cut was taken from: the ids it reports
+// index that engine's user tables.
+func (c *Cut) Engine() *Engine { return c.e }
+
+// ClassTotals returns the closed period's per-class volumes, ordered
+// as Classes().
+func (c *Cut) ClassTotals() []float64 {
+	sums := make([]counter, len(c.e.classes))
+	for i := range c.closed {
+		classTotals(sums, &c.closed[i])
+	}
+	return toMB(sums)
+}
+
+// EachUser calls fn once per user with usage in the closed period: its
+// shard, its id in that shard's table, and its volume over all classes.
+// Users come in no particular order.
+func (c *Cut) EachUser(fn func(shard int, id int32, volumeMB float64)) {
+	nC := len(c.e.classes)
+	for si := range c.closed {
+		p := &c.closed[si]
+		for k, id := range p.ids {
+			fn(si, id, p.userMB(k, nC))
+		}
+	}
+}
+
+// Release hands the cut's buffers back to the engine, which reuses them
+// for a later period; the cut must not be used afterwards. A cut that
+// is never released is simply garbage collected.
+func (c *Cut) Release() {
+	for i := range c.closed {
+		c.closed[i].reset()
+	}
+	c.e.spare.Store(c)
+}
+
+// Rollover atomically closes the period: every shard's period buffer is
+// swapped for an empty one inside a single all-shards critical section,
+// so a concurrent Record/RecordBatch/ApplyWire lands entirely in the
+// closed period or entirely in the new one. The swap is O(shards); the
+// returned cut holds the closed period for the caller to read outside
+// the lock.
+func (e *Engine) Rollover() *Cut {
+	c := e.spare.Swap(nil)
+	if c == nil {
+		c = &Cut{e: e, closed: make([]period, len(e.shards))}
+	}
+	e.lockAll()
+	for i := range e.shards {
+		s := &e.shards[i]
+		s.cur, c.closed[i] = c.closed[i], s.cur
+	}
+	e.unlockAll()
+	return c
 }

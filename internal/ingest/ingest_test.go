@@ -70,7 +70,7 @@ func TestInfiniteVolumeRejected(t *testing.T) {
 			t.Errorf("RecordBatch(%v): err = %v, want ErrBadReport", v, err)
 		}
 		recs := []WireRecord{{User: 0, Class: 0, VolumeMB: 1}, {User: 1, Class: 1, VolumeMB: v}}
-		users := []string{"a", "b"}
+		users := [][]byte{[]byte("a"), []byte("b")}
 		if err := e.CheckWire(users, recs); !errors.Is(err, ErrBadReport) {
 			t.Errorf("CheckWire(%v): err = %v, want ErrBadReport", v, err)
 		}
@@ -100,7 +100,7 @@ func TestFiniteReportsCannotOverflow(t *testing.T) {
 	if err := e.RecordBatch([]Report{{User: "a", Class: "web", VolumeMB: 1}, {User: "b", Class: "ftp", VolumeMB: over}}); !errors.Is(err, ErrBadReport) {
 		t.Errorf("RecordBatch over the cap: err = %v, want ErrBadReport", err)
 	}
-	users := []string{"a", "b"}
+	users := [][]byte{[]byte("a"), []byte("b")}
 	recs := []WireRecord{{User: 0, Class: 0, VolumeMB: 1}, {User: 1, Class: 1, VolumeMB: over}}
 	if err := e.CheckWire(users, recs); !errors.Is(err, ErrBadReport) {
 		t.Errorf("CheckWire over the cap: err = %v, want ErrBadReport", err)
@@ -111,17 +111,23 @@ func TestFiniteReportsCannotOverflow(t *testing.T) {
 	if n := e.Accepted(); n != 0 {
 		t.Fatalf("%d over-cap reports accounted, want 0", n)
 	}
-	// Reports at the cap are accepted, and their sums stay finite.
+	// Reports at the cap are accepted, and their sums neither wrap nor
+	// lose precision: 1000 reports of 2^60 units each overflow 64 bits
+	// (an int64 counter wraps after 8), not the 128-bit counters.
 	const n = 1000
 	for i := 0; i < n; i++ {
 		if err := e.Record("alice", "web", MaxReportMB); err != nil {
 			t.Fatalf("Record at the cap: %v", err)
 		}
 	}
-	classTotals, userTotals := e.Rollover()
-	//lint:allow floateq n·2^40 is exact in float64
-	if classTotals[0] != n*MaxReportMB || userTotals["alice"] != n*MaxReportMB {
-		t.Fatalf("totals %v / %v, want %v", classTotals, userTotals, float64(n*MaxReportMB))
+	if err := e.RecordBatch([]Report{{User: "bob", Class: "web", VolumeMB: MaxReportMB}, {User: "bob", Class: "web", VolumeMB: MaxReportMB}}); err != nil {
+		t.Fatal(err)
+	}
+	cut := e.Rollover()
+	classTotals, userTotals := cut.ClassTotals(), cutUserTotals(cut)
+	//lint:allow floateq (n+2)·2^40 is exact in float64
+	if classTotals[0] != (n+2)*MaxReportMB || userTotals["alice"] != n*MaxReportMB || userTotals["bob"] != 2*MaxReportMB {
+		t.Fatalf("totals %v / %v, want %v", classTotals, userTotals, float64((n+2)*MaxReportMB))
 	}
 }
 
@@ -169,17 +175,15 @@ func TestAccounting(t *testing.T) {
 		}
 	}
 	ut := e.UserTotals()
-	if ut["user1"] != 15 || ut["user2"] != 120 {
+	if len(ut) != 2 || ut["user1"] != 15 || ut["user2"] != 120 {
 		t.Errorf("UserTotals = %v", ut)
-	}
-	if u := e.Users(); len(u) != 2 || u[0] != "user1" || u[1] != "user2" {
-		t.Errorf("Users = %v", u)
 	}
 	if n := e.Accepted(); n != 4 {
 		t.Errorf("Accepted = %d, want 4", n)
 	}
 
-	ct, pu := e.Rollover()
+	cut := e.Rollover()
+	ct, pu := cut.ClassTotals(), cutUserTotals(cut)
 	for i := range want {
 		if ct[i] != want[i] {
 			t.Errorf("Rollover class totals %v, want %v", ct, want)
@@ -267,10 +271,11 @@ func TestConcurrentRecordRollover(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			ct, _ := e.Rollover()
-			for _, v := range ct {
+			cut := e.Rollover()
+			for _, v := range cut.ClassTotals() {
 				closedSum += v
 			}
+			cut.Release()
 		}
 	}()
 	wg.Wait()
@@ -298,5 +303,88 @@ func TestConcurrentRecordRollover(t *testing.T) {
 	}
 	if closedSum != want {
 		t.Fatalf("accounted %v MB across rollovers, want %v (lost or duplicated reports)", closedSum, want)
+	}
+}
+
+// TestRolloverAllocsFlat: the close's critical section is a buffer
+// swap, and a released cut's buffers carry the next period, so a warm
+// rollover and its totals allocate the same few objects whether the
+// period touched ten users or ten thousand.
+func TestRolloverAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates during AllocsPerRun; the pin runs in the non-race pass")
+	}
+	allocs := func(users int) float64 {
+		e, _ := NewEngine(classes3(), 16)
+		batch := make([]Report, users)
+		for i := range batch {
+			batch[i] = Report{User: fmt.Sprintf("user%05d", i), Class: classes3()[i%3], VolumeMB: 1.5}
+		}
+		var sink float64
+		period := func() {
+			if err := e.RecordBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			cut := e.Rollover()
+			sink += cut.ClassTotals()[0]
+			cut.EachUser(func(_ int, _ int32, mb float64) { sink += mb })
+			cut.Release()
+		}
+		period()
+		period()
+		recordOnly := testing.AllocsPerRun(5, func() {
+			if err := e.RecordBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		e.Rollover().Release()
+		return testing.AllocsPerRun(5, period) - recordOnly
+	}
+	small, large := allocs(10), allocs(10000)
+	if large != small || small > 4 {
+		t.Fatalf("rollover allocates %.0f objects at 10 touched users, %.0f at 10000; want the same few", small, large)
+	}
+}
+
+// TestUserIDSurvivesRollovers: a user keeps one id for the engine's
+// lifetime, however many periods close, and each period's usage is
+// reported under it.
+func TestUserIDSurvivesRollovers(t *testing.T) {
+	e, _ := NewEngine(classes3(), 4)
+	if err := e.Record("alice", "web", 1); err != nil {
+		t.Fatal(err)
+	}
+	shard, id, ok := e.Lookup("alice")
+	if !ok {
+		t.Fatal("alice not in the user table")
+	}
+	for p := 0; p < 1000; p++ {
+		if err := e.Record(fmt.Sprintf("other%d", p), "ftp", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Record("alice", "video", 0.5); err != nil {
+			t.Fatal(err)
+		}
+		cut := e.Rollover()
+		var seen int
+		cut.EachUser(func(s int, i int32, mb float64) {
+			if s == shard && i == id {
+				seen++
+				//lint:allow floateq p=0 adds the warm-up 1 MB; dyadic sums are exact
+				if want := 0.5 + float64(1-min(p, 1)); mb != want {
+					t.Fatalf("period %d: alice %v MB, want %v", p, mb, want)
+				}
+			}
+		})
+		if seen != 1 {
+			t.Fatalf("period %d: alice reported %d times under id %d", p, seen, id)
+		}
+		cut.Release()
+		if s, i, _ := e.Lookup("alice"); s != shard || i != id {
+			t.Fatalf("period %d: alice moved from (%d,%d) to (%d,%d)", p, shard, id, s, i)
+		}
+	}
+	if got := e.Names(shard)[id]; got != "alice" {
+		t.Fatalf("id %d names %q", id, got)
 	}
 }

@@ -35,19 +35,19 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 			func() float64 {
 				s.mu.Lock()
 				defer s.mu.Unlock()
-				return float64(s.n)
+				return float64(s.cur.n)
 			})
 		reg.GaugeFunc("ingest_shard_batches", "batch lock acquisitions this period, per shard", lbl,
 			func() float64 {
 				s.mu.Lock()
 				defer s.mu.Unlock()
-				return float64(s.b)
+				return float64(s.cur.b)
 			})
 		reg.GaugeFunc("ingest_shard_users", "distinct users this period, per shard", lbl,
 			func() float64 {
 				s.mu.Lock()
 				defer s.mu.Unlock()
-				return float64(len(s.byUser))
+				return float64(len(s.cur.ids))
 			})
 	}
 }

@@ -4,53 +4,47 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 )
 
-// serialRef is the straightforward single-map accounting the original
-// tube.Measurement implemented, with totals accumulated in sorted-user
-// order — the determinism contract the sharded engine promises to match
-// bit for bit.
+// serialRef is the straightforward single-map accounting the sharded
+// engine must match exactly: each report rounded to metering units and
+// summed per (user, class) in uint64.
 type serialRef struct {
 	classes []string
-	byUser  map[string][]float64
+	byUser  map[string][]uint64
 }
 
 func newSerialRef(classes []string) *serialRef {
-	return &serialRef{classes: classes, byUser: make(map[string][]float64)}
+	return &serialRef{classes: classes, byUser: make(map[string][]uint64)}
 }
 
 func (r *serialRef) record(user, class string, v float64) {
 	u := r.byUser[user]
 	if u == nil {
-		u = make([]float64, len(r.classes))
+		u = make([]uint64, len(r.classes))
 		r.byUser[user] = u
 	}
 	for j, c := range r.classes {
 		if c == class {
-			u[j] += v
+			u[j] += uint64(math.RoundToEven(v * (1 << 20)))
 			return
 		}
 	}
 	panic("unknown class " + class)
 }
 
-func (r *serialRef) sortedUsers() []string {
-	names := make([]string, 0, len(r.byUser))
-	for u := range r.byUser {
-		names = append(names, u)
-	}
-	sort.Strings(names)
-	return names
-}
-
 func (r *serialRef) classTotals() []float64 {
-	out := make([]float64, len(r.classes))
-	for _, u := range r.sortedUsers() {
-		for j, v := range r.byUser[u] {
-			out[j] += v
+	sums := make([]uint64, len(r.classes))
+	for _, vec := range r.byUser {
+		for j, v := range vec {
+			sums[j] += v
 		}
+	}
+	out := make([]float64, len(sums))
+	for j, v := range sums {
+		out[j] = float64(v) / (1 << 20)
 	}
 	return out
 }
@@ -58,38 +52,35 @@ func (r *serialRef) classTotals() []float64 {
 func (r *serialRef) userTotals() map[string]float64 {
 	out := make(map[string]float64, len(r.byUser))
 	for u, vec := range r.byUser {
-		var s float64
+		var s uint64
 		for _, v := range vec {
 			s += v
 		}
-		out[u] = s
+		out[u] = float64(s) / (1 << 20)
 	}
 	return out
 }
 
 func (r *serialRef) rollover() ([]float64, map[string]float64) {
 	ct, ut := r.classTotals(), r.userTotals()
-	r.byUser = make(map[string][]float64)
+	r.byUser = make(map[string][]uint64)
 	return ct, ut
 }
 
-func bitsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
+// cutUserTotals is the closed period's per-user volumes by name.
+func cutUserTotals(c *Cut) map[string]float64 {
+	out := make(map[string]float64)
+	c.EachUser(func(shard int, id int32, mb float64) {
+		out[c.Engine().Names(shard)[id]] = mb
+	})
+	return out
 }
 
 // TestShardedMatchesSerialProperty drives random report streams
-// (irrational volumes, mixed Record/RecordBatch, interleaved rollovers)
-// through the sharded engine at 1, 4, and 16 shards and asserts
-// ClassTotals, UserTotals, and Rollover results are bit-identical to
-// the serial reference.
+// (non-dyadic volumes, mixed Record/RecordBatch/ApplyWire, interleaved
+// rollovers) through the sharded engine at 1, 4, and 16 shards and
+// asserts ClassTotals, UserTotals, and Rollover results equal the
+// quantized serial reference exactly.
 func TestShardedMatchesSerialProperty(t *testing.T) {
 	classes := classes3()
 	for _, shards := range []int{1, 4, 16} {
@@ -103,18 +94,26 @@ func TestShardedMatchesSerialProperty(t *testing.T) {
 
 			nOps := 50 + rng.Intn(400)
 			for op := 0; op < nOps; op++ {
-				switch {
-				case rng.Float64() < 0.03:
-					gotCT, gotUT := eng.Rollover()
+				switch p := rng.Float64(); {
+				case p < 0.03:
+					cut := eng.Rollover()
 					wantCT, wantUT := ref.rollover()
-					checkTotals(t, shards, trial, "Rollover", gotCT, gotUT, wantCT, wantUT)
-				case rng.Float64() < 0.3:
-					n := 1 + rng.Intn(32)
-					batch := make([]Report, n)
-					for i := range batch {
-						batch[i] = randReport(rng)
+					checkTotals(t, shards, trial, "Rollover", cut.ClassTotals(), cutUserTotals(cut), wantCT, wantUT)
+					if rng.Intn(2) == 0 {
+						cut.Release()
 					}
+				case p < 0.3:
+					batch := randBatch(rng)
 					if err := eng.RecordBatch(batch); err != nil {
+						t.Fatal(err)
+					}
+					for _, r := range batch {
+						ref.record(r.User, r.Class, r.VolumeMB)
+					}
+				case p < 0.5:
+					batch := randBatch(rng)
+					users, recs := wireForm(batch)
+					if err := eng.ApplyWire(users, nil, recs); err != nil {
 						t.Fatal(err)
 					}
 					for _, r := range batch {
@@ -130,9 +129,6 @@ func TestShardedMatchesSerialProperty(t *testing.T) {
 			}
 			checkTotals(t, shards, trial, "final",
 				eng.ClassTotals(), eng.UserTotals(), ref.classTotals(), ref.userTotals())
-			if got, want := eng.Users(), ref.sortedUsers(); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("shards=%d trial=%d: Users = %v, want %v", shards, trial, got, want)
-			}
 		}
 	}
 }
@@ -141,24 +137,57 @@ func randReport(rng *rand.Rand) Report {
 	return Report{
 		User:     fmt.Sprintf("user%03d", rng.Intn(48)),
 		Class:    classes3()[rng.Intn(3)],
-		VolumeMB: rng.ExpFloat64() * 7.3, // irrational-ish: exercises float ordering
+		VolumeMB: rng.ExpFloat64() * 7.3, // not a multiple of the unit: exercises the rounding
 	}
+}
+
+func randBatch(rng *rand.Rand) []Report {
+	batch := make([]Report, 1+rng.Intn(32))
+	for i := range batch {
+		batch[i] = randReport(rng)
+	}
+	return batch
+}
+
+// wireForm is a batch in frame-index form, as a wire decoder yields it.
+func wireForm(batch []Report) ([][]byte, []WireRecord) { return wireFormOf(batch, classes3()) }
+
+func wireFormOf(batch []Report, classes []string) ([][]byte, []WireRecord) {
+	var users [][]byte
+	idx := make(map[string]int32)
+	recs := make([]WireRecord, len(batch))
+	for i, r := range batch {
+		u, ok := idx[r.User]
+		if !ok {
+			u = int32(len(users))
+			idx[r.User] = u
+			users = append(users, []byte(r.User))
+		}
+		c := slices.Index(classes, r.Class)
+		recs[i] = WireRecord{User: u, Class: int32(c), VolumeMB: r.VolumeMB}
+	}
+	return users, recs
 }
 
 func checkTotals(t *testing.T, shards, trial int, where string,
 	gotCT []float64, gotUT map[string]float64, wantCT []float64, wantUT map[string]float64) {
 	t.Helper()
-	if !bitsEqual(gotCT, wantCT) {
-		t.Fatalf("shards=%d trial=%d %s: ClassTotals %v != serial %v (bitwise)",
-			shards, trial, where, gotCT, wantCT)
+	for j := range wantCT {
+		//lint:allow floateq integer sums converted once: equality is the property under test
+		if gotCT[j] != wantCT[j] {
+			t.Fatalf("shards=%d trial=%d %s: ClassTotals %v != serial %v",
+				shards, trial, where, gotCT, wantCT)
+		}
 	}
 	if len(gotUT) != len(wantUT) {
 		t.Fatalf("shards=%d trial=%d %s: %d users, want %d", shards, trial, where, len(gotUT), len(wantUT))
 	}
 	for u, v := range wantUT {
-		if math.Float64bits(gotUT[u]) != math.Float64bits(v) {
-			t.Fatalf("shards=%d trial=%d %s: UserTotals[%s] = %v, want %v (bitwise)",
-				shards, trial, where, u, gotUT[u], v)
+		got, ok := gotUT[u]
+		//lint:allow floateq integer sums converted once: equality is the property under test
+		if !ok || got != v {
+			t.Fatalf("shards=%d trial=%d %s: UserTotals[%s] = %v, want %v",
+				shards, trial, where, u, got, v)
 		}
 	}
 }

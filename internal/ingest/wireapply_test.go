@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func wireEngine(t *testing.T, shards int) *Engine {
 }
 
 func TestApplyWireAllOrNothing(t *testing.T) {
-	users := []string{"alice", "bob"}
+	users := [][]byte{[]byte("alice"), []byte("bob")}
 	cases := map[string][]WireRecord{
 		"user index out of range":  {{User: 0, Class: 0, VolumeMB: 1}, {User: 2, Class: 0, VolumeMB: 1}},
 		"negative user index":      {{User: -1, Class: 0, VolumeMB: 1}},
@@ -44,7 +45,7 @@ func TestApplyWireAllOrNothing(t *testing.T) {
 
 func TestApplyWireEmptyUserRejected(t *testing.T) {
 	e := wireEngine(t, 4)
-	err := e.ApplyWire([]string{""}, nil, []WireRecord{{User: 0, Class: 0, VolumeMB: 1}})
+	err := e.ApplyWire([][]byte{{}}, nil, []WireRecord{{User: 0, Class: 0, VolumeMB: 1}})
 	if !errors.Is(err, ErrBadReport) {
 		t.Fatalf("empty user: %v, want ErrBadReport", err)
 	}
@@ -52,7 +53,7 @@ func TestApplyWireEmptyUserRejected(t *testing.T) {
 
 func TestApplyWireHashLengthMismatch(t *testing.T) {
 	e := wireEngine(t, 4)
-	err := e.ApplyWire([]string{"alice", "bob"}, []uint32{UserHash("alice")},
+	err := e.ApplyWire([][]byte{[]byte("alice"), []byte("bob")}, []uint32{UserHash("alice")},
 		[]WireRecord{{User: 0, Class: 0, VolumeMB: 1}})
 	if !errors.Is(err, ErrBadReport) {
 		t.Fatalf("short hash table: %v, want ErrBadReport", err)
@@ -62,7 +63,7 @@ func TestApplyWireHashLengthMismatch(t *testing.T) {
 // TestApplyWireHashedAndUnhashedAgree: passing the cached hashes must
 // be a pure optimization — identical placement and totals.
 func TestApplyWireHashedAndUnhashedAgree(t *testing.T) {
-	users := []string{"alice", "bob", "carol", "dave"}
+	users := [][]byte{[]byte("alice"), []byte("bob"), []byte("carol"), []byte("dave")}
 	hashes := make([]uint32, len(users))
 	for i, u := range users {
 		hashes[i] = UserHash(u)
@@ -100,5 +101,35 @@ func TestApplyWireEmptyFrame(t *testing.T) {
 	}
 	if e.Accepted() != 0 {
 		t.Fatalf("empty frame accounted %d records", e.Accepted())
+	}
+}
+
+// TestApplyWireWarmAllocs pins the node's ingest hot path: once a
+// frame's users are in the table and the period buffers are sized, an
+// ApplyWire allocates nothing, in the period it warmed up in and in the
+// next one.
+func TestApplyWireWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool entries; the 0-alloc pin runs in the non-race pass")
+	}
+	e := wireEngine(t, 8)
+	batch := make([]Report, 256)
+	for i := range batch {
+		batch[i] = Report{User: fmt.Sprintf("u%03d", i%64), Class: []string{"web", "ftp"}[i%2], VolumeMB: 0.3}
+	}
+	users, recs := wireFormOf(batch, []string{"web", "ftp"})
+	apply := func() {
+		if err := e.ApplyWire(users, nil, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply()
+	if allocs := testing.AllocsPerRun(100, apply); allocs != 0 {
+		t.Fatalf("warm ApplyWire allocates %.1f times per frame, want 0", allocs)
+	}
+	e.Rollover().Release()
+	apply()
+	if allocs := testing.AllocsPerRun(100, apply); allocs != 0 {
+		t.Fatalf("warm ApplyWire after a rollover allocates %.1f times per frame, want 0", allocs)
 	}
 }

@@ -8,28 +8,61 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"tdp/internal/ingest"
 )
 
+// newTestBilling returns a billing engine over a fresh measurement
+// engine.
+func newTestBilling(t *testing.T, basePrice float64) (*Billing, *ingest.Engine) {
+	t.Helper()
+	eng, err := ingest.NewEngine(testClasses(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBilling(eng, basePrice)
+	if err != nil {
+		t.Fatalf("NewBilling: %v", err)
+	}
+	return b, eng
+}
+
+// usageCut closes one period of eng in which each user used the given
+// volume.
+func usageCut(t *testing.T, eng *ingest.Engine, usage map[string]float64) *ingest.Cut {
+	t.Helper()
+	for user, mb := range usage {
+		if err := eng.Record(user, testClasses()[0], mb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return eng.Rollover()
+}
+
 func TestNewBillingValidation(t *testing.T) {
-	if _, err := NewBilling(0); !errors.Is(err, ErrBadInput) {
+	eng, err := ingest.NewEngine(testClasses(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewBilling(eng, 0); !errors.Is(err, ErrBadInput) {
 		t.Errorf("zero price: err = %v, want ErrBadInput", err)
 	}
-	if _, err := NewBilling(-1); !errors.Is(err, ErrBadInput) {
+	if _, err := NewBilling(eng, -1); !errors.Is(err, ErrBadInput) {
 		t.Errorf("negative price: err = %v, want ErrBadInput", err)
+	}
+	if _, err := NewBilling(nil, 1); !errors.Is(err, ErrBadInput) {
+		t.Errorf("no engine: err = %v, want ErrBadInput", err)
 	}
 }
 
 func TestBillingAccrual(t *testing.T) {
-	b, err := NewBilling(1) // $0.10 per MB
-	if err != nil {
-		t.Fatalf("NewBilling: %v", err)
-	}
+	b, eng := newTestBilling(t, 1) // $0.10 per MB
 	// Period 1: no reward — full price.
-	if err := b.AddPeriod(map[string]float64{"alice": 10, "bob": 4}, 0); err != nil {
+	if err := b.AddPeriod(usageCut(t, eng, map[string]float64{"alice": 10, "bob": 4}), 0); err != nil {
 		t.Fatalf("AddPeriod: %v", err)
 	}
 	// Period 2: reward 0.3 — price 0.7.
-	if err := b.AddPeriod(map[string]float64{"alice": 10}, 0.3); err != nil {
+	if err := b.AddPeriod(usageCut(t, eng, map[string]float64{"alice": 10}), 0.3); err != nil {
 		t.Fatalf("AddPeriod: %v", err)
 	}
 	if got := b.Bill("alice"); math.Abs(got-17) > 1e-12 {
@@ -47,13 +80,16 @@ func TestBillingAccrual(t *testing.T) {
 	if b.Periods() != 2 {
 		t.Errorf("Periods = %d, want 2", b.Periods())
 	}
+	if b.Users() != 2 {
+		t.Errorf("Users = %d, want 2", b.Users())
+	}
 }
 
 func TestBillingPriceFloor(t *testing.T) {
 	// A reward above the base price floors the effective price at zero —
 	// the ISP never pays users to consume.
-	b, _ := NewBilling(1)
-	if err := b.AddPeriod(map[string]float64{"u": 5}, 2.5); err != nil {
+	b, eng := newTestBilling(t, 1)
+	if err := b.AddPeriod(usageCut(t, eng, map[string]float64{"u": 5}), 2.5); err != nil {
 		t.Fatalf("AddPeriod: %v", err)
 	}
 	if got := b.Bill("u"); got != 0 {
@@ -64,19 +100,32 @@ func TestBillingPriceFloor(t *testing.T) {
 	}
 }
 
+// TestBillingErrors: a bad reward or a cut of another engine is
+// refused. Negative usage cannot reach billing at all: the measurement
+// engine rejects it, and its counters are unsigned.
 func TestBillingErrors(t *testing.T) {
-	b, _ := NewBilling(1)
-	if err := b.AddPeriod(map[string]float64{"u": -1}, 0); !errors.Is(err, ErrBadInput) {
-		t.Errorf("negative usage: err = %v, want ErrBadInput", err)
+	b, eng := newTestBilling(t, 1)
+	if err := eng.Record("u", testClasses()[0], -1); !errors.Is(err, ingest.ErrBadReport) {
+		t.Errorf("negative usage: err = %v, want ingest.ErrBadReport", err)
 	}
-	if err := b.AddPeriod(map[string]float64{"u": 1}, -0.1); !errors.Is(err, ErrBadInput) {
+	if err := b.AddPeriod(usageCut(t, eng, map[string]float64{"u": 1}), -0.1); !errors.Is(err, ErrBadInput) {
 		t.Errorf("negative reward: err = %v, want ErrBadInput", err)
+	}
+	if err := b.AddPeriod(usageCut(t, eng, map[string]float64{"u": 1}), math.NaN()); !errors.Is(err, ErrBadInput) {
+		t.Errorf("NaN reward: err = %v, want ErrBadInput", err)
+	}
+	_, other := newTestBilling(t, 1)
+	if err := b.AddPeriod(usageCut(t, other, map[string]float64{"u": 1}), 0); !errors.Is(err, ErrBadInput) {
+		t.Errorf("cut of another engine: err = %v, want ErrBadInput", err)
+	}
+	if b.Periods() != 0 || b.Bill("u") != 0 {
+		t.Errorf("refused periods accrued: %d periods, bill %v", b.Periods(), b.Bill("u"))
 	}
 }
 
 func TestBillingStatementsAndCycle(t *testing.T) {
-	b, _ := NewBilling(2)
-	_ = b.AddPeriod(map[string]float64{"carol": 3, "alice": 1}, 0.5)
+	b, eng := newTestBilling(t, 2)
+	_ = b.AddPeriod(usageCut(t, eng, map[string]float64{"carol": 3, "alice": 1}), 0.5)
 	stmts := b.Statements()
 	if len(stmts) != 2 || stmts[0].User != "alice" || stmts[1].User != "carol" {
 		t.Fatalf("Statements = %+v, want sorted [alice carol]", stmts)
@@ -88,8 +137,35 @@ func TestBillingStatementsAndCycle(t *testing.T) {
 	if len(closed) != 2 {
 		t.Fatal("CloseCycle lost statements")
 	}
-	if len(b.Statements()) != 0 || b.Periods() != 0 {
+	if len(b.Statements()) != 0 || b.Periods() != 0 || b.Users() != 0 || b.Bill("carol") != 0 {
 		t.Error("cycle not reset")
+	}
+	_ = b.AddPeriod(usageCut(t, eng, map[string]float64{"carol": 1}), 0)
+	if stmts := b.Statements(); len(stmts) != 1 || stmts[0].Charge != 2 {
+		t.Errorf("next cycle statements = %+v, want carol alone at 2", stmts)
+	}
+}
+
+// TestBillSurvivesRollovers: a user's bill accrues across many
+// periods, each closed through the engine's rollover, under the one id
+// the user table gave the user.
+func TestBillSurvivesRollovers(t *testing.T) {
+	b, eng := newTestBilling(t, 1)
+	const periods = 500
+	for p := 0; p < periods; p++ {
+		usage := map[string]float64{"alice": 0.25, fmt.Sprintf("passer%d", p): 1}
+		cut := usageCut(t, eng, usage)
+		if err := b.AddPeriod(cut, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		cut.Release()
+	}
+	//lint:allow floateq dyadic charges sum exactly
+	if got, want := b.Bill("alice"), periods*0.25*0.5; got != want {
+		t.Fatalf("alice bill after %d periods = %v, want %v", periods, got, want)
+	}
+	if got := b.Users(); got != periods+1 {
+		t.Fatalf("%d users billed, want %d", got, periods+1)
 	}
 }
 
@@ -162,24 +238,27 @@ func TestCloseCycleAtomicNoLostAccruals(t *testing.T) {
 	// and then wiped before appearing on any statement. With snapshot and
 	// reset in one critical section, every accrued unit must show up on
 	// exactly one cycle's statements. (Run under -race in CI.)
-	b, err := NewBilling(1)
-	if err != nil {
-		t.Fatalf("NewBilling: %v", err)
-	}
+	b, eng := newTestBilling(t, 1)
 	const (
 		writers = 4
 		adds    = 200
 	)
+	// Each writer accrues its own closed periods of one MB for its user.
+	cuts := make([][]*ingest.Cut, writers)
+	for w := range cuts {
+		for i := 0; i < adds; i++ {
+			cuts[w] = append(cuts[w], usageCut(t, eng, map[string]float64{fmt.Sprintf("u%d", w): 1}))
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			user := fmt.Sprintf("u%d", w)
-			for i := 0; i < adds; i++ {
+			for _, cut := range cuts[w] {
 				// reward 0 → price 1 → each call accrues exactly 1.
-				if err := b.AddPeriod(map[string]float64{user: 1}, 0); err != nil {
+				if err := b.AddPeriod(cut, 0); err != nil {
 					t.Errorf("AddPeriod: %v", err)
 					return
 				}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -55,6 +56,66 @@ type clusterState struct {
 	ringSwaps *obs.Counter
 }
 
+// servedHistory is how many replicated publications a follower keeps
+// to bill its closes at: its closes may trail the leader's by that many
+// periods before it bills at a schedule newer than the one it served.
+const servedHistory = 16
+
+// servedPrices is a follower's record of the publications its replica
+// board served. A follower's optimizer solves its own schedule but never
+// serves it, so its closes bill at these instead: the first snapshot
+// fixes which leader period the follower's next close ends, and each
+// close after it ends the next one.
+type servedPrices struct {
+	mu          sync.Mutex
+	recent      [servedHistory]*publication // guarded by mu: the newest applied publications, a ring
+	n           int                         // guarded by mu: publications recorded
+	next        int                         // guarded by mu: the leader period the next close ends, once n > 0
+	ownSchedule *obs.Counter                // closes billed at the node's own schedule
+}
+
+// record notes a publication the replica board installed.
+func (sp *servedPrices) record(p *publication) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if sp.n == 0 {
+		sp.next = p.period
+	}
+	sp.recent[sp.n%servedHistory] = p
+	sp.n++
+}
+
+// billNext returns the reward to bill the closing period at: the one
+// the newest publication at or before that leader period scheduled for
+// it. Before the first snapshot it returns own, the node's own reward,
+// and counts the period.
+func (sp *servedPrices) billNext(own float64) float64 {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if sp.n == 0 {
+		sp.ownSchedule.Inc()
+		return own
+	}
+	period := sp.next
+	sp.next++
+	var best, oldest *publication
+	for _, p := range sp.recent {
+		if p == nil {
+			continue
+		}
+		if p.period <= period && (best == nil || p.period > best.period) {
+			best = p
+		}
+		if oldest == nil || p.period < oldest.period {
+			oldest = p
+		}
+	}
+	if best == nil {
+		best = oldest // the close trails every retained publication
+	}
+	return best.rewards[period%len(best.rewards)]
+}
+
 // EnableCluster joins this server to a consistent-hash serving plane.
 // From then on POST /usage/wire accepts only the users this node owns
 // under its current ring and rejects the rest by index, and the server
@@ -82,6 +143,8 @@ func (s *Server) EnableCluster(opts ClusterOptions) error {
 	cl.ring.Store(ring)
 	if opts.LeaderURL != "" {
 		cl.replica = newBoard()
+		served := &servedPrices{ownSchedule: s.reg.Counter("tube_billing_own_schedule_periods_total",
+			"periods a follower billed at its own schedule, closed before its first price snapshot replicated", nil)}
 		rep, err := cluster.NewReplicator(opts.LeaderURL, opts.ReplicateEvery, func(snap cluster.PriceSnapshot) error {
 			// The follower re-serves the leader's snapshot as received,
 			// ring version included, so it is cut before anyone can see it.
@@ -89,7 +152,9 @@ func (s *Server) EnableCluster(opts ClusterOptions) error {
 			if _, err := p.snapshot(snap.RingVersion); err != nil {
 				return err
 			}
-			cl.replica.publish(p)
+			if cl.replica.publish(p) {
+				served.record(p)
+			}
 			return nil
 		})
 		if err != nil {
@@ -121,6 +186,7 @@ func (s *Server) EnableCluster(opts ClusterOptions) error {
 			})
 		}
 		cl.rep = rep
+		s.opt.followPrices(served)
 		rep.Start()
 	}
 	cl.ringSwaps = s.reg.Counter("cluster_ring_swaps_total", "ring configurations applied", nil)

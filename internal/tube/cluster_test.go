@@ -653,3 +653,131 @@ func postWire(t *testing.T, base string, reps []ingest.Report) (int, cluster.Wir
 	}
 	return resp.StatusCode, ack
 }
+
+// servedPeriod waits until nd serves period p and returns its reward.
+func servedPeriod(t *testing.T, nd *clusterNode, p int) float64 {
+	t.Helper()
+	gui := wireGUI(t, nd.ts.URL)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		info, err := gui.PullPrice(context.Background())
+		if err == nil && info.Period == p {
+			return info.Reward
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never served period %d (last %+v, err %v)", nd.id, p, info, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFollowerBillsServedPrice: a follower solves its own schedule but
+// serves the leader's, and it must bill at the price it served. Over a
+// day and a half of routed load (the two schedules part once the online
+// engines fold a day of their different usage shares), every follower
+// statement equals the user's usage times (base − the reward the
+// follower served in each period).
+func TestFollowerBillsServedPrice(t *testing.T) {
+	nodes, cfg := startCluster(t, 2)
+	follower := nodes[1]
+	ring, err := cluster.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := wire.NewClassTable(testClasses())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := cluster.NewRouter(tab, ring, &cluster.HTTPSender{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := clusterReports(300, 3)
+	want := make(map[string]float64)
+	ownDiffers := 0
+	for p := 0; p < 18; p++ {
+		served := servedPeriod(t, follower, p)
+		if own := follower.opt.CurrentReward(); own != served {
+			ownDiffers++
+		}
+		for lo := 0; lo < len(reps); lo += 64 {
+			if _, err := rt.Send(context.Background(), reps[lo:min(lo+64, len(reps))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, r := range reps {
+			if ring.Owns(follower.id, r.User) {
+				want[r.User] += r.VolumeMB * max(1-served, 0)
+			}
+		}
+		for _, nd := range nodes {
+			if _, err := nd.opt.ClosePeriod(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if ownDiffers == 0 {
+		t.Fatal("the follower's own schedule matched the served one in every period; the test shows nothing")
+	}
+	stmts := follower.opt.Billing().Statements()
+	if len(stmts) != len(want) || len(stmts) == 0 {
+		t.Fatalf("follower billed %d users, owns %d", len(stmts), len(want))
+	}
+	for _, st := range stmts {
+		if w := want[st.User]; math.Abs(st.Charge-w) > 1e-9*w {
+			t.Fatalf("%s charged %v, served prices give %v", st.User, st.Charge, w)
+		}
+	}
+	if n := follower.srv.Registry().Counter("tube_billing_own_schedule_periods_total", "", nil).Value(); n != 0 {
+		t.Fatalf("%v periods billed at the follower's own schedule after its first snapshot", n)
+	}
+}
+
+// TestGUIPartialAckResend: a batch posted to one node of a 2-node
+// cluster is applied only for the users that node owns. The error names
+// the rejected reports, and resending exactly those to their owner
+// applies every report once (resending the whole batch would bill the
+// owned part twice).
+func TestGUIPartialAckResend(t *testing.T) {
+	nodes, cfg := startCluster(t, 2)
+	ring, err := cluster.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := clusterReports(20, 1)
+	ctx := context.Background()
+	err = wireGUI(t, nodes[0].ts.URL).ReportUsageWire(ctx, batch)
+	var partial *PartialAckError
+	if !errors.As(err, &partial) || !errors.Is(err, ErrRemote) {
+		t.Fatalf("mixed-owner batch: err = %v, want a *PartialAckError wrapping ErrRemote", err)
+	}
+	if partial.Accepted == 0 || len(partial.Rejected) == 0 || partial.Accepted+len(partial.Rejected) != len(batch) {
+		t.Fatalf("partial ack %+v for %d reports", partial, len(batch))
+	}
+	resend := make([]UsageReport, 0, len(partial.Rejected))
+	for _, i := range partial.Rejected {
+		if ring.Owns(nodes[0].id, batch[i].User) {
+			t.Fatalf("report %d of owned user %s rejected", i, batch[i].User)
+		}
+		resend = append(resend, batch[i])
+	}
+	if err := wireGUI(t, nodes[1].ts.URL).ReportUsageWire(ctx, resend); err != nil {
+		t.Fatalf("resend to the owner: %v", err)
+	}
+	seen := make(map[string]int)
+	var accepted int64
+	for _, nd := range nodes {
+		accepted += nd.opt.Measurement().Accepted()
+		for user := range nd.opt.Measurement().UserTotals() {
+			seen[user]++
+		}
+	}
+	if accepted != int64(len(batch)) || len(seen) != len(batch) {
+		t.Fatalf("%d reports applied for %d users, want %d once each", accepted, len(seen), len(batch))
+	}
+	for user, n := range seen {
+		if n != 1 {
+			t.Fatalf("user %s applied on %d nodes", user, n)
+		}
+	}
+}

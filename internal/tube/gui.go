@@ -89,13 +89,30 @@ func (g *GUI) EnableWire(classes []string) error {
 	return nil
 }
 
+// PartialAckError is a wire batch a cluster node applied only in part:
+// it applied the records of the users it owns and rejected the rest by
+// index. The accepted records are billed, so a retry must resend only
+// the Rejected ones, to their owner. It wraps ErrRemote.
+type PartialAckError struct {
+	Accepted int   // records applied
+	Rejected []int // indexes into the batch of the records not applied
+}
+
+func (e *PartialAckError) Error() string {
+	return fmt.Sprintf("%v: wire ack accepted %d of %d (%d rejected as not owned)",
+		ErrRemote, e.Accepted, e.Accepted+len(e.Rejected), len(e.Rejected))
+}
+
+func (e *PartialAckError) Unwrap() error { return ErrRemote }
+
 // ReportUsageWire posts a batch of usage records to POST /usage/wire,
 // the server's one usage endpoint (EnableWire first). The server
 // applies the batch before it answers, so on success every record is in
 // the period in progress, and a batch it rejects as invalid leaves
 // nothing behind. A cluster node applies only the records of users it
-// owns and disowns the rest, which fails the call with ErrRemote; route
-// batches for a cluster through cluster.Router instead.
+// owns and disowns the rest, which fails the call with a
+// *PartialAckError naming the records to resend; cluster.Router does
+// that rerouting itself.
 func (g *GUI) ReportUsageWire(ctx context.Context, reps []UsageReport) error {
 	if g.enc == nil {
 		return fmt.Errorf("wire format not enabled: %w", ErrBadInput)
@@ -122,9 +139,17 @@ func (g *GUI) ReportUsageWire(ctx context.Context, reps []UsageReport) error {
 	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
 		return fmt.Errorf("decode wire ack: %w", err)
 	}
-	if len(ack.Rejected) > 0 || ack.Accepted != len(reps) {
-		return fmt.Errorf("%w: wire ack accepted %d of %d (%d rejected as not owned)",
-			ErrRemote, ack.Accepted, len(reps), len(ack.Rejected))
+	if ack.Accepted+len(ack.Rejected) != len(reps) {
+		return fmt.Errorf("%w: wire ack accounts for %d+%d of %d reports",
+			ErrRemote, ack.Accepted, len(ack.Rejected), len(reps))
+	}
+	for i, r := range ack.Rejected {
+		if r < 0 || r >= len(reps) || (i > 0 && r <= ack.Rejected[i-1]) {
+			return fmt.Errorf("%w: wire ack rejects index %d of %d reports, out of range or order", ErrRemote, r, len(reps))
+		}
+	}
+	if len(ack.Rejected) > 0 {
+		return &PartialAckError{Accepted: ack.Accepted, Rejected: ack.Rejected}
 	}
 	return nil
 }

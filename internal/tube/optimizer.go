@@ -62,6 +62,11 @@ type Optimizer struct {
 	billing   *Billing
 	dayUsage  []float64 // guarded by mu: per-period usage totals of the day in progress (mechanism mode only)
 
+	// served is, on a cluster follower, the record of the prices this
+	// node served from its replica, which its closes bill at; nil on a
+	// leader or a standalone server, which serve their own schedule.
+	served *servedPrices // guarded by mu
+
 	// pub is the published (period, day schedule) record. Only
 	// ClosePeriod replaces it, under mu; readers load it lock-free, so
 	// they never see a torn pair and never wait on a close or a refit.
@@ -127,7 +132,7 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	billing, err := NewBilling(cfg.BasePrice)
+	billing, err := NewBilling(meas, cfg.BasePrice)
 	if err != nil {
 		return nil, err
 	}
@@ -152,6 +157,14 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 	}
 	o.publish(0, rewards)
 	return o, nil
+}
+
+// followPrices makes the optimizer bill at the prices a cluster
+// follower serves from its replica instead of at its own schedule.
+func (o *Optimizer) followPrices(sp *servedPrices) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.served = sp
 }
 
 // Measurement exposes the measurement engine for traffic accounting:
@@ -187,24 +200,29 @@ func (o *Optimizer) publish(period int, rewards []float64) {
 }
 
 // ClosePeriod ends the period in progress: it snapshots and resets the
-// measurement counters, feeds the observation to the online price engine,
-// logs price and usage history, and publishes the updated schedule as
-// one new record. It returns the closed period's per-class measured
-// volumes.
+// measurement counters, bills the period at the reward this node served
+// for it, feeds the observation to the online price engine, logs price
+// and usage history, and publishes the updated schedule as one new
+// record. It returns the closed period's per-class measured volumes.
 func (o *Optimizer) ClosePeriod() ([]float64, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	// One atomic rollover: per-class and per-user totals come from the
 	// same consistent cut, so a report racing the period close cannot be
-	// billed in one period but profiled in the other (the old
-	// UserTotals-then-Reset pair left that window open).
-	observed, perUser := o.meas.Rollover()
+	// billed in one period but profiled in the other.
+	cut := o.meas.Rollover()
+	defer cut.Release()
+	observed := cut.ClassTotals()
 	cur := o.pub.load()
 	period, rewards := cur.period, cur.rewards
 	idx := period % o.cfg.Scenario.Periods
 	reward := rewards[idx]
 
-	if err := o.billing.AddPeriod(perUser, reward); err != nil {
+	billed := reward
+	if o.served != nil {
+		billed = o.served.billNext(reward)
+	}
+	if err := o.billing.AddPeriod(cut, billed); err != nil {
 		return nil, fmt.Errorf("billing: %w", err)
 	}
 

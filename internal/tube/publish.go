@@ -73,16 +73,17 @@ func (b *board) load() *publication { return b.cur.Load() }
 
 // publish installs p if it is newer than the current record and wakes
 // everything waiting on the record it replaces. A stale or replayed
-// record is dropped.
-func (b *board) publish(p *publication) {
+// record is dropped, and publish reports false.
+func (b *board) publish(p *publication) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	old := b.cur.Load()
 	if p.taken <= old.taken {
-		return
+		return false
 	}
 	b.cur.Store(p)
 	close(old.superseded)
+	return true
 }
 
 // stamp returns a publish timestamp for a new record: the wall clock,

@@ -282,10 +282,10 @@ func (s *Server) handleBill(w http.ResponseWriter, r *http.Request) {
 
 // wireBatch is one admitted frame of a POST /usage/wire body, copied
 // out of the decoder's scratch so the next frame can be decoded before
-// any of them is applied. The user strings stay interned; only the
-// slice headers copy.
+// any of them is applied. The users stay views into the request body;
+// only the slice headers copy.
 type wireBatch struct {
-	users  []string
+	users  [][]byte
 	hashes []uint32
 	recs   []ingest.WireRecord
 }
@@ -300,7 +300,7 @@ type wireBatch struct {
 // the sender's in-flight window, never as dropped reports.
 //
 // Ownership follows this node's CURRENT ring view, checked once per
-// DISTINCT user through the decoder's cached hashes; misrouted reports
+// DISTINCT user through the hashes the decoder returns; misrouted reports
 // are rejected by index (spanning all frames in the body) and the ack's
 // RingVersion tells a stale router to refetch. A server outside a
 // cluster is a one-node ring: it owns every user and acks RingVersion 0.
@@ -358,7 +358,7 @@ func (s *Server) handleUsageWire(w http.ResponseWriter, r *http.Request) {
 		}
 		if len(owned) > 0 {
 			admitted = append(admitted, wireBatch{
-				users:  append([]string(nil), users...),
+				users:  append([][]byte(nil), users...),
 				hashes: append([]uint32(nil), hashes...),
 				recs:   owned,
 			})

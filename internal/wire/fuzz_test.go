@@ -65,7 +65,7 @@ func checkDecoders(t *testing.T, tab *ClassTable, data []byte) {
 	}
 	for i, r := range recs {
 		w := got[i]
-		if users[r.User] != w.User || tab.Name(int(r.Class)) != w.Class ||
+		if string(users[r.User]) != w.User || tab.Name(int(r.Class)) != w.Class ||
 			math.Float64bits(r.VolumeMB) != math.Float64bits(w.VolumeMB) {
 			t.Fatalf("record %d: DecodeRecords {%q %q %#x}, Decode {%q %q %#x}", i,
 				users[r.User], tab.Name(int(r.Class)), math.Float64bits(r.VolumeMB),

@@ -34,11 +34,12 @@
 // Encoders emit only VersionCurrent and decoders accept only it; any
 // other version byte is ErrVersion.
 //
-// Encode and decode are zero-allocation at steady state: the Encoder
-// reuses its output buffer and user-index map, the Decoder reuses its
-// user table and interns user strings across frames (the same client's
-// next frame carries the same users, so after warm-up decoded reports
-// alias interned strings instead of fresh copies).
+// Encode and DecodeRecords are zero-allocation at steady state: the
+// Encoder reuses its output buffer and user-index map, and DecodeRecords
+// returns the frame's users as views into the frame itself, so the one
+// copy of a user's name a node keeps is the one in its ingest engine's
+// user table. Decode, the reference twin that materializes reports,
+// allocates one string per frame for the whole user table.
 package wire
 
 import (
@@ -239,19 +240,11 @@ func (e *Encoder) appendPayloadV1(dst []byte, reports []ingest.Report) ([]byte, 
 type Decoder struct {
 	tab      *ClassTable
 	maxFrame int
-	userTab  []string
+	userTab  [][]byte
 	hashTab  []uint32
+	names    []string
 	recs     []ingest.WireRecord
-	intern   map[string]internedUser
 	counts   []int64
-}
-
-// internedUser is one stable user entry: the string allocated the first
-// time the user was seen plus its ingest.UserHash, computed once so the
-// zero-copy apply path never re-hashes a warm user.
-type internedUser struct {
-	s string
-	h uint32
 }
 
 // NewDecoder builds a decoder over the class table.
@@ -259,7 +252,6 @@ func NewDecoder(tab *ClassTable) *Decoder {
 	return &Decoder{
 		tab:      tab,
 		maxFrame: DefaultMaxFrameBytes,
-		intern:   make(map[string]internedUser),
 		counts:   make([]int64, tab.Len()),
 	}
 }
@@ -325,17 +317,18 @@ func (d *Decoder) checkFrame(buf []byte) (payload []byte, total int, err error) 
 }
 
 // DecodeRecords consumes one frame from the front of buf zero-copy: no
-// []ingest.Report is materialized. It returns the frame's interned user
-// table, the cached ingest.UserHash of each entry, and the records in
+// []ingest.Report is materialized. It returns the frame's user table as
+// views into buf, the ingest.UserHash of each entry, and the records in
 // frame-index form (ingest.WireRecord.Class indexes the decoder's class
-// table, which matches the engine's class order). All three slices are
-// decoder-owned scratch, valid only until the next Decode/DecodeRecords
-// call — callers that keep the frame past the next call must copy them.
+// table, which matches the engine's class order). The user views are
+// valid while buf is; the three slices themselves are decoder-owned
+// scratch, valid only until the next Decode/DecodeRecords call —
+// callers that keep the frame past the next call must copy them.
 //
 // Feeding the result to Engine.ApplyWire is the server's ingest path;
-// it produces counters bit-identical to Decode + RecordBatch (the
-// reference twin, pinned by the property tests).
-func (d *Decoder) DecodeRecords(buf []byte) (users []string, hashes []uint32, recs []ingest.WireRecord, consumed int, err error) {
+// it produces the same counters as Decode + RecordBatch (the reference
+// twin, pinned by the property tests).
+func (d *Decoder) DecodeRecords(buf []byte) (users [][]byte, hashes []uint32, recs []ingest.WireRecord, consumed int, err error) {
 	payload, total, err := d.checkFrame(buf)
 	if err != nil {
 		return nil, nil, nil, 0, err
@@ -353,19 +346,6 @@ func uvarint(p []byte) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: bad varint", ErrCorrupt)
 	}
 	return v, p[n:], nil
-}
-
-// internUser returns a stable string for the user bytes plus its cached
-// ingest.UserHash, reusing the allocation (and the hash work) made the
-// first time this user was seen.
-func (d *Decoder) internUser(b []byte) (string, uint32) {
-	if e, ok := d.intern[string(b)]; ok { // no alloc: map lookup by []byte key conversion
-		return e.s, e.h
-	}
-	s := string(b)
-	e := internedUser{s: s, h: ingest.UserHash(s)}
-	d.intern[s] = e
-	return e.s, e.h
 }
 
 func (d *Decoder) decodePayloadV1(p []byte, dst []ingest.Report) ([]ingest.Report, error) {
@@ -400,7 +380,9 @@ func (d *Decoder) decodePayloadV1(p []byte, dst []ingest.Report) ([]ingest.Repor
 	if nu > uint64(len(p)) { // each user needs ≥1 length byte
 		return dst, fmt.Errorf("%w: user table claims %d entries in %d bytes", ErrCorrupt, nu, len(p))
 	}
-	d.userTab = d.userTab[:0]
+	// The user table is copied out of the frame as one string, and each
+	// user's name is a substring of it.
+	table := p
 	for i := uint64(0); i < nu; i++ {
 		l, rest, err := uvarint(p)
 		if err != nil {
@@ -409,10 +391,17 @@ func (d *Decoder) decodePayloadV1(p []byte, dst []ingest.Report) ([]ingest.Repor
 		if l > uint64(len(rest)) {
 			return dst, fmt.Errorf("%w: user %d length %d overruns payload", ErrCorrupt, i, l)
 		}
-		s, _ := d.internUser(rest[:l])
-		d.userTab = append(d.userTab, s)
 		p = rest[l:]
 	}
+	all := string(table[:len(table)-len(p)])
+	names := d.names[:0]
+	for q := table[:len(all)]; len(q) > 0; {
+		l, n := binary.Uvarint(q) // checked by the walk above
+		from := len(all) - len(q) + n
+		names = append(names, all[from:from+int(l)])
+		q = q[n+int(l):]
+	}
+	d.names = names
 	n, p, err := uvarint(p)
 	if err != nil {
 		return dst, err
@@ -428,8 +417,8 @@ func (d *Decoder) decodePayloadV1(p []byte, dst []ingest.Report) ([]ingest.Repor
 		if err != nil {
 			return dst, err
 		}
-		if ui >= uint64(len(d.userTab)) {
-			return dst, fmt.Errorf("%w: record %d user index %d of %d", ErrCorrupt, i, ui, len(d.userTab))
+		if ui >= uint64(len(names)) {
+			return dst, fmt.Errorf("%w: record %d user index %d of %d", ErrCorrupt, i, ui, len(names))
 		}
 		ci, rest, err := uvarint(rest)
 		if err != nil {
@@ -443,7 +432,7 @@ func (d *Decoder) decodePayloadV1(p []byte, dst []ingest.Report) ([]ingest.Repor
 			return dst, err
 		}
 		dst = append(dst, ingest.Report{
-			User:     d.userTab[ui],
+			User:     names[ui],
 			Class:    d.tab.names[ci],
 			VolumeMB: unpackVolume(vb),
 		})
@@ -500,9 +489,8 @@ func (d *Decoder) decodeRecordsV1(p []byte) error {
 		if l > uint64(len(rest)) {
 			return fmt.Errorf("%w: user %d length %d overruns payload", ErrCorrupt, i, l)
 		}
-		s, h := d.internUser(rest[:l])
-		d.userTab = append(d.userTab, s)
-		d.hashTab = append(d.hashTab, h)
+		d.userTab = append(d.userTab, rest[:l:l])
+		d.hashTab = append(d.hashTab, ingest.UserHash(rest[:l]))
 		p = rest[l:]
 	}
 	n, p, err := uvarint(p)

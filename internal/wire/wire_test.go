@@ -262,17 +262,19 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	}
 	dec := NewDecoder(tab)
 	dst := make([]ingest.Report, 0, len(batch))
-	// Warm up: intern the users, size the tables.
+	// Warm up: size the tables.
 	if _, _, err := dec.Decode(frame, dst); err != nil {
 		t.Fatal(err)
 	}
+	// Decode copies the frame's user table out as one string, whatever
+	// the number of users and records.
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, _, err := dec.Decode(frame, dst[:0]); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state decode allocates %.1f times per frame, want 0", allocs)
+	if allocs != 1 {
+		t.Fatalf("steady-state decode allocates %.1f times per frame, want 1", allocs)
 	}
 	encAllocs := testing.AllocsPerRun(100, func() {
 		if _, err := enc.Encode(batch); err != nil {

@@ -1,10 +1,9 @@
 package wire
 
 // The zero-copy apply path (DecodeRecords → Engine.ApplyWire) and the
-// classic path (Decode → RecordBatch on an engine with no ownership
-// filter) are twins: these property tests pin them bit-identical — same
-// class totals, same per-user totals — across shard counts, and pin the
-// fast path's zero-allocation steady state.
+// classic path (Decode → RecordBatch) are twins: these property tests
+// pin them to the same class and per-user totals across shard counts,
+// and pin the fast path's zero-allocation steady state.
 
 import (
 	"errors"
@@ -18,9 +17,8 @@ import (
 var zcClasses = []string{"web", "ftp", "video", "p2p"}
 
 // zcReports builds a deterministic stream with repeated users, multiple
-// records per (user, class), and full-precision random volumes — if the
-// two paths accumulated in different orders, these volumes would expose
-// it bit-for-bit.
+// records per (user, class), and full-precision random volumes, which
+// both paths must round to the same metering units.
 func zcReports(users, n int, seed uint64) []ingest.Report {
 	rng := rand.New(rand.NewPCG(seed, 11))
 	reps := make([]ingest.Report, n)
@@ -71,8 +69,9 @@ func TestApplyWireBitIdenticalTwin(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("v%d/shards=%d", VersionCurrent, shards), func(t *testing.T) {
 			enc := NewEncoder(tab)
-			// Several frames per body, so the intern table crosses
-			// frame boundaries like it does on a live connection.
+			// Several frames per body, so the engine's user table
+			// resolves users across frames like it does on a live
+			// connection.
 			var body []byte
 			for lo := 0; lo < len(reps); lo += 512 {
 				hi := min(lo+512, len(reps))
@@ -199,7 +198,7 @@ func TestZeroCopyApplySteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	apply() // warm-up: intern users, size the workspace, create the vectors
+	apply() // warm-up: add the users to the table, size the workspace and the period buffers
 	if allocs := testing.AllocsPerRun(50, apply); allocs != 0 {
 		t.Fatalf("warm zero-copy apply allocates %.1f times per frame, want 0", allocs)
 	}
