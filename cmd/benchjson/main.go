@@ -15,10 +15,11 @@
 //	benchjson -diff BENCH_4.json BENCH_5.json -track 'Ingest|Usage' -threshold 0.20
 //
 // Benchmarks present in both documents (matched by package and name,
-// ignoring the -P GOMAXPROCS suffix) are compared on ns/op; the command
-// fails if any benchmark matching -track regressed by more than
-// -threshold. Entries that appear on only one side are listed but never
-// fail the gate — renames and new benchmarks are not regressions.
+// ignoring the -P GOMAXPROCS suffix) are compared on the median ns/op of
+// their runs on each side; the command fails if any benchmark matching
+// -track regressed by more than -threshold. Entries that appear on only
+// one side are listed but never fail the gate — renames and new
+// benchmarks are not regressions.
 package main
 
 import (
@@ -193,29 +194,35 @@ func benchKey(b Benchmark) string {
 	return b.Package + "\t" + name
 }
 
-// bestNs collapses repeated runs (-count N) of one benchmark to the
-// minimum ns/op — the least-noise estimate of the true cost on a shared
-// machine. Entries without an ns/op measurement are dropped.
-func bestNs(doc Document) map[string]float64 {
-	best := make(map[string]float64)
+// medianNs collapses repeated runs of one benchmark to their median
+// ns/op (the mean of the two middle runs for an even count). The gate
+// times the two sides in alternating rounds, so a slow spell of a
+// shared machine lands on both sides; the median then ignores a spell
+// that hit one round of either side, where a minimum would reward the
+// side that happened to run in the quietest moment. Entries without an
+// ns/op measurement are dropped.
+func medianNs(doc Document) map[string]float64 {
+	runs := make(map[string][]float64)
 	for _, b := range doc.Benchmarks {
-		if b.NsPerOp <= 0 {
-			continue
-		}
-		k := benchKey(b)
-		if v, ok := best[k]; !ok || b.NsPerOp < v {
-			best[k] = b.NsPerOp
+		if b.NsPerOp > 0 {
+			k := benchKey(b)
+			runs[k] = append(runs[k], b.NsPerOp)
 		}
 	}
-	return best
+	med := make(map[string]float64, len(runs))
+	for k, v := range runs {
+		sort.Float64s(v)
+		med[k] = (v[(len(v)-1)/2] + v[len(v)/2]) / 2
+	}
+	return med
 }
 
 // diffDocuments compares ns/op for the benchmarks common to base and cur,
 // prints the full comparison, and fails if any tracked benchmark regressed
 // beyond the threshold.
 func diffDocuments(base, cur Document, track *regexp.Regexp, threshold float64, w io.Writer) error {
-	old := bestNs(base)
-	now := bestNs(cur)
+	old := medianNs(base)
+	now := medianNs(cur)
 	keys := make([]string, 0, len(old))
 	for k := range old {
 		if _, ok := now[k]; ok {

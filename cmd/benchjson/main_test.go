@@ -168,19 +168,27 @@ func TestDiffTrackLimitsGate(t *testing.T) {
 	}
 }
 
-func TestDiffMinOfRepeatedRuns(t *testing.T) {
-	// -count N runs: the gate compares minima, so a noisy high sample in
-	// the current run must not fail when a clean sample exists.
-	var cur Document
-	for _, v := range []float64{300, 104, 290} {
-		cur.Benchmarks = append(cur.Benchmarks, Benchmark{
-			Name: "BenchmarkA-1", Package: "tdp/internal/x", Iterations: 10, NsPerOp: v,
-		})
+func TestDiffMedianOfRepeatedRuns(t *testing.T) {
+	// Repeated runs collapse to their median: one slow sample does not
+	// fail the gate, and one fast sample does not hide a regression the
+	// middle of the runs shows.
+	runs := func(vs ...float64) string {
+		var d Document
+		for _, v := range vs {
+			d.Benchmarks = append(d.Benchmarks, Benchmark{
+				Name: "BenchmarkA-1", Package: "tdp/internal/x", Iterations: 10, NsPerOp: v,
+			})
+		}
+		return writeDoc(t, d)
 	}
-	base := writeDoc(t, benchDoc(map[string]float64{"BenchmarkA-1": 100}))
+	base := runs(100, 98, 103, 101, 99)
 	var out strings.Builder
-	if err := run([]string{"-diff", base, writeDoc(t, cur)}, nil, &out); err != nil {
-		t.Fatalf("min-of-runs not applied: %v\n%s", err, out.String())
+	if err := run([]string{"-diff", base, runs(300, 104, 99, 102)}, nil, &out); err != nil {
+		t.Fatalf("one slow run failed the gate: %v\n%s", err, out.String())
+	}
+	out.Reset()
+	if err := run([]string{"-diff", base, runs(90, 140, 135, 150, 131)}, nil, &out); err == nil {
+		t.Fatalf("a 35%% median regression passed the gate:\n%s", out.String())
 	}
 }
 

@@ -188,13 +188,20 @@ func (r *Ring) Owns(id, user string) bool {
 	return ok && int32(i) == r.ownerIdx(ingest.UserHash(user))
 }
 
-// OwnsHash reports whether member id owns a user key given its
-// precomputed ingest.UserHash — the zero-copy admission path checks
-// ownership once per frame user-table entry with the decoder's cached
-// hashes instead of re-hashing every record's user string.
-func (r *Ring) OwnsHash(id string, h uint32) bool {
+// OwnsHashes sets owned[u] to whether member id owns the user key
+// whose precomputed ingest.UserHash is hashes[u], and reports whether
+// it owns them all. The zero-copy admission path checks a frame's user
+// table with the decoder's cached hashes: the member is resolved once
+// per frame, and no user string is re-hashed. owned must be as long as
+// hashes.
+func (r *Ring) OwnsHashes(id string, hashes []uint32, owned []bool) (all bool) {
 	i, ok := r.byID[id]
-	return ok && int32(i) == r.ownerIdx(h)
+	all = true
+	for u, h := range hashes {
+		owned[u] = ok && int32(i) == r.ownerIdx(h)
+		all = all && owned[u]
+	}
+	return all
 }
 
 // OwnerIndex returns the member index (into Members() order) owning a

@@ -187,3 +187,33 @@ func TestConfigRoundTrip(t *testing.T) {
 		t.Fatal("unknown member owns a key")
 	}
 }
+
+// TestOwnsHashesMatchesOwns: the per-frame ownership check agrees with
+// Owns on every user for every member, and an unknown member owns none.
+func TestOwnsHashesMatchesOwns(t *testing.T) {
+	r, err := Build(Config{Version: 1, VNodes: 32, Members: testMembers(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := make([]string, 200)
+	hashes := make([]uint32, len(users))
+	for u := range users {
+		users[u] = fmt.Sprintf("user%03d", u)
+		hashes[u] = ingest.UserHash(users[u])
+	}
+	owned := make([]bool, len(users))
+	for _, id := range []string{"n0", "n1", "n2", "n-missing"} {
+		all := r.OwnsHashes(id, hashes, owned)
+		for u, user := range users {
+			if owned[u] != r.Owns(id, user) {
+				t.Fatalf("%s, %s: OwnsHashes %v, Owns %v", id, user, owned[u], !owned[u])
+			}
+		}
+		if all {
+			t.Fatalf("%s owns all of %d users on a 3-member ring", id, len(users))
+		}
+	}
+	if !r.OwnsHashes("n0", nil, nil) {
+		t.Fatal("an empty frame is not wholly owned")
+	}
+}

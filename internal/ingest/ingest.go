@@ -7,7 +7,10 @@
 //   - N shards (power of two), each owning one persistent user table
 //     (user → dense id, appended once in a user's lifetime) guarded by
 //     its own mutex. A report's shard is the FNV-1a hash of its user, so
-//     one user's counters always live on one shard.
+//     one user's counters always live on one shard. The table
+//     (usertable.go) is a flat slot array over a name arena, indexed by
+//     a per-engine seeded hash: one probe per lookup, no per-user heap
+//     pointer.
 //   - Exact integer counters: a volume is rounded at validation to
 //     units of 2^-20 MB and added to a 128-bit counter, so sums commute:
 //     totals do not depend on shard count, arrival order or batching,
@@ -35,6 +38,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/bits"
 	"runtime"
@@ -95,10 +99,9 @@ func (p *period) reset() {
 // separate cache lines so uncontended shards do not false-share.
 type shard struct {
 	mu    sync.Mutex
-	ids   map[string]int32 // guarded by mu: the user table, user → id
-	names []string         // guarded by mu: id → user; append-only, so a copied header stays valid
-	slot  []int32          // guarded by mu: id → index into cur.ids, valid only when cur.ids[slot[id]] == id
-	cur   period           // guarded by mu: the period in progress
+	users userTable // guarded by mu: user → id (usertable.go)
+	slot  []int32   // guarded by mu: id → index into cur.ids, valid only when cur.ids[slot[id]] == id
+	cur   period    // guarded by mu: the period in progress
 	_     [64]byte
 }
 
@@ -110,6 +113,7 @@ type Engine struct {
 	zeros    []counter      // nClasses zero counters, appended on a user's first touch in a period
 	shards   []shard
 	mask     uint32
+	seed     maphash.Seed                  // user-table key seed (usertable.go)
 	spare    atomic.Pointer[Cut]           // a released cut, reused by the next Rollover
 	met      atomic.Pointer[engineMetrics] // nil until Instrument
 	wirePool wireWSHolder                  // ApplyWire grouping workspaces (see wireapply.go)
@@ -165,9 +169,10 @@ func NewEngine(classes []string, shards int) (*Engine, error) {
 		zeros:    make([]counter, len(classes)),
 		shards:   make([]shard, shards),
 		mask:     uint32(shards - 1),
+		seed:     maphash.MakeSeed(),
 	}
 	for i := range e.shards {
-		e.shards[i].ids = make(map[string]int32)
+		e.shards[i].users = newUserTable()
 	}
 	return e, nil
 }
@@ -231,29 +236,15 @@ func (e *Engine) validate(r *Report) (int, error) {
 	return idx, nil
 }
 
-// id returns user's dense id on this shard, adding the user to the
-// table the first time it is seen. Under s.mu.
-func (s *shard) id(user string) int32 {
-	if id, ok := s.ids[user]; ok {
-		return id
+// id returns the dense id on this shard of user, whose user-table key
+// is h, adding the user to the table the first time it is seen. Under
+// s.mu.
+func id[T string | []byte](s *shard, h uint32, user T) int32 {
+	id, slot := find(&s.users, h, user)
+	if id < 0 {
+		id = add(&s.users, h, user, slot)
+		s.slot = append(s.slot, 0)
 	}
-	return s.addUser(user)
-}
-
-// idBytes is id for a user given as bytes; only a first sighting
-// allocates the name.
-func (s *shard) idBytes(user []byte) int32 {
-	if id, ok := s.ids[string(user)]; ok { // no alloc: map index by []byte conversion
-		return id
-	}
-	return s.addUser(string(user))
-}
-
-func (s *shard) addUser(user string) int32 {
-	id := int32(len(s.names))
-	s.ids[user] = id
-	s.names = append(s.names, user)
-	s.slot = append(s.slot, 0)
 	return id
 }
 
@@ -282,8 +273,9 @@ func (e *Engine) Record(user, class string, volumeMB float64) error {
 		return err
 	}
 	s := &e.shards[e.shardIdxFor(user)]
+	h := e.key(user)
 	s.mu.Lock()
-	s.cur.ctr[s.counters(s.id(user), e.zeros)+idx].add(units(volumeMB))
+	s.cur.ctr[s.counters(id(s, h, user), e.zeros)+idx].add(units(volumeMB))
 	s.cur.n++
 	s.mu.Unlock()
 	if m := e.metrics(); m != nil {
@@ -315,7 +307,7 @@ func (e *Engine) RecordBatch(reports []Report) error {
 	}
 	apply := func(s *shard, i int) {
 		r := &reports[i]
-		s.cur.ctr[s.counters(s.id(r.User), e.zeros)+int(idxs[i])].add(units(r.VolumeMB))
+		s.cur.ctr[s.counters(id(s, e.key(r.User), r.User), e.zeros)+int(idxs[i])].add(units(r.VolumeMB))
 		s.cur.n++
 	}
 	// Batches smaller than the stripe count rarely land two reports on
@@ -418,7 +410,7 @@ func (e *Engine) UserTotals() map[string]float64 {
 	for i := range e.shards {
 		s := &e.shards[i]
 		for k, id := range s.cur.ids {
-			out[s.names[id]] = s.cur.userMB(k, len(e.classes))
+			out[s.users.name(id)] = s.cur.userMB(k, len(e.classes))
 		}
 	}
 	return out
@@ -437,24 +429,32 @@ func (e *Engine) Accepted() int64 {
 }
 
 // Lookup returns the shard and dense id of a user the engine has ever
-// seen; ids are stable for the engine's lifetime.
+// seen; ids are stable for the engine's lifetime. It costs one probe
+// of the shard's user table, and allocates nothing.
 func (e *Engine) Lookup(user string) (shard int, id int32, ok bool) {
 	shard = e.shardIdxFor(user)
 	s := &e.shards[shard]
+	h := e.key(user)
 	s.mu.Lock()
-	id, ok = s.ids[user]
+	id, _ = find(&s.users, h, user)
 	s.mu.Unlock()
-	return shard, id, ok
+	if id < 0 {
+		return shard, 0, false
+	}
+	return shard, id, true
 }
 
-// Names returns one shard's user table, indexed by id. The slice is a
-// snapshot: users added later do not appear in it, and it is never
-// written, so callers may read it without a lock.
+// Names returns one shard's user names, indexed by id: a snapshot, so
+// users added later do not appear in it. The table keeps names back to
+// back in one byte arena, so Names builds the strings: one copy of the
+// arena, made after the shard lock is released, sliced per id. Callers
+// that need many names (billing statements) call it once per shard.
 func (e *Engine) Names(shard int) []string {
 	s := &e.shards[shard]
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.names[:len(s.names):len(s.names)]
+	arena, ends := s.users.arena, s.users.ends
+	s.mu.Unlock()
+	return namesOf(arena, ends)
 }
 
 // Cut is one closed period, owned by the caller of Rollover until

@@ -6,10 +6,13 @@
 // volumes — and folds volumes into the shard counters directly:
 //
 //   - class validation is a bounds check, not a map lookup;
-//   - the user hash is computed (or taken from the hashes argument) once
-//     per DISTINCT user in the frame, not once per record, and the
-//     shard's user table resolves each distinct user once per frame,
-//     allocating a name only the first time the node sees the user;
+//   - the placement hash (taken from the hashes argument or computed)
+//     and the seeded user-table key are computed once per DISTINCT user
+//     in the frame, not once per record, before any lock is taken;
+//   - under each shard's lock, a first pass touches every user's table
+//     slot so their cache misses overlap, and a second resolves each
+//     distinct user once per frame, storing a name only the first time
+//     the node sees the user;
 //   - records are grouped per shard with an index chain in a pooled
 //     workspace, so each touched shard is locked exactly once per frame
 //     and a warm apply allocates nothing.
@@ -37,11 +40,13 @@ type WireRecord struct {
 // the shard count and kept all -1 between borrows (ApplyWire resets only
 // the entries it touched); everything else is re-initialized per call.
 type wireWS struct {
-	shard   []int32 // per frame user: its shard
-	at      []int32 // per frame user: where its counters start in its shard's period buffer, -1 = not yet resolved
-	next    []int32 // per record: next record on the same shard
-	head    []int32 // per shard: first record index, -1 = none (invariant between uses)
-	touched []int32 // shards with at least one record this frame
+	shard   []int32  // per frame user: its shard
+	key     []uint32 // per frame user: its user-table key
+	at      []int32  // per frame user: where its counters start in its shard's period buffer, -1 = not yet resolved
+	next    []int32  // per record: next record on the same shard
+	head    []int32  // per shard: first record index, -1 = none (invariant between uses)
+	touched []int32  // shards with at least one record this frame
+	sink    uint32   // what the touch pass read, stored so it is not optimized away
 }
 
 // wireWSHolder pools workspaces per engine, since a workspace is sized
@@ -96,9 +101,11 @@ func (e *Engine) ApplyWire(users [][]byte, hashes []uint32, recs []WireRecord) e
 		return err
 	}
 	ws := e.wireWS()
-	// One hash per distinct user: a frame's user table lists each of its
-	// users once.
+	// Two hashes per distinct user, outside any lock: the placement
+	// hash picks the shard, the seeded key the user-table slot. A frame's
+	// user table lists each of its users once.
 	shardOf, at := growI32(ws.shard, len(users)), growI32(ws.at, len(users))
+	key := ws.key[:0]
 	for u := range users {
 		var h uint32
 		if hashes != nil {
@@ -107,6 +114,7 @@ func (e *Engine) ApplyWire(users [][]byte, hashes []uint32, recs []WireRecord) e
 			h = UserHash(users[u])
 		}
 		shardOf[u], at[u] = int32(h&e.mask), -1
+		key = append(key, e.keyBytes(users[u]))
 	}
 	// Per-shard record chains.
 	next := growI32(ws.next, len(recs))
@@ -119,15 +127,26 @@ func (e *Engine) ApplyWire(users [][]byte, hashes []uint32, recs []WireRecord) e
 		next[i] = head[si]
 		head[si] = int32(i)
 	}
-	// Apply: each touched shard is locked exactly once per frame.
+	// Apply: each touched shard is locked exactly once per frame. The
+	// first pass over the shard's records only touches each user's slot,
+	// name and period slot, so the user table's cache misses for the
+	// whole chain are in flight together; the second resolves each user
+	// against the warm lines and folds the volumes.
+	sink := ws.sink
 	for _, si := range touched {
 		s := &e.shards[si]
 		var n int64
 		s.mu.Lock()
 		for i := head[si]; i >= 0; i = next[i] {
+			if u := recs[i].User; at[u] == -1 {
+				at[u] = -2 // touched once: a user's later records skip it
+				sink += s.touch(key[u])
+			}
+		}
+		for i := head[si]; i >= 0; i = next[i] {
 			r := &recs[i]
 			if at[r.User] < 0 {
-				at[r.User] = int32(s.counters(s.idBytes(users[r.User]), e.zeros))
+				at[r.User] = int32(s.counters(id(s, key[r.User], users[r.User]), e.zeros))
 			}
 			s.cur.ctr[at[r.User]+r.Class].add(units(r.VolumeMB))
 			n++
@@ -137,7 +156,7 @@ func (e *Engine) ApplyWire(users [][]byte, hashes []uint32, recs []WireRecord) e
 		s.mu.Unlock()
 		head[si] = -1 // restore the workspace invariant
 	}
-	ws.shard, ws.at, ws.next, ws.touched = shardOf, at, next, touched[:0]
+	ws.shard, ws.key, ws.at, ws.next, ws.touched, ws.sink = shardOf, key, at, next, touched[:0], sink
 	e.wirePool.pool.Put(ws)
 	if m := e.metrics(); m != nil {
 		m.records.Add(int64(len(recs)))

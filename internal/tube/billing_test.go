@@ -169,6 +169,34 @@ func TestBillSurvivesRollovers(t *testing.T) {
 	}
 }
 
+// TestBillingUserHashCollision: two distinct users whose FNV-1a
+// UserHash is equal (found by brute force) share a shard of the user
+// table but keep separate bills and separate statement lines.
+func TestBillingUserHashCollision(t *testing.T) {
+	byHash := make(map[uint32]string, 1<<18)
+	var a, c string
+	for k := 0; a == ""; k++ {
+		name := fmt.Sprintf("c%d", k)
+		h := ingest.UserHash(name)
+		if other, ok := byHash[h]; ok {
+			a, c = other, name
+		}
+		byHash[h] = name
+	}
+	b, eng := newTestBilling(t, 2)
+	if err := b.AddPeriod(usageCut(t, eng, map[string]float64{a: 3, c: 1}), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	//lint:allow floateq dyadic charges are exact
+	if b.Bill(a) != 4.5 || b.Bill(c) != 1.5 {
+		t.Fatalf("bills %s: %v, %s: %v; want 4.5 and 1.5", a, b.Bill(a), c, b.Bill(c))
+	}
+	stmts := b.Statements()
+	if len(stmts) != 2 || stmts[0].User == stmts[1].User {
+		t.Fatalf("statements %+v, want one line per user", stmts)
+	}
+}
+
 func TestOptimizerBillingIntegration(t *testing.T) {
 	opt, err := NewOptimizer(OptimizerConfig{
 		Scenario: testScenario(),

@@ -394,12 +394,7 @@ func ownership(ring *cluster.Ring, selfID string, hashes []uint32) []bool {
 		return nil
 	}
 	owned := make([]bool, len(hashes))
-	all := true
-	for u, h := range hashes {
-		owned[u] = ring.OwnsHash(selfID, h)
-		all = all && owned[u]
-	}
-	if all {
+	if ring.OwnsHashes(selfID, hashes, owned) {
 		return nil
 	}
 	return owned

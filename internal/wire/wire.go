@@ -35,10 +35,11 @@
 // other version byte is ErrVersion.
 //
 // Encode and DecodeRecords are zero-allocation at steady state: the
-// Encoder reuses its output buffer and user-index map, and DecodeRecords
-// returns the frame's users as views into the frame itself, so the one
-// copy of a user's name a node keeps is the one in its ingest engine's
-// user table. Decode, the reference twin that materializes reports,
+// Encoder reuses its output buffer, its user-index map and the report
+// indexes it resolves once per frame, and DecodeRecords returns the
+// frame's users as views into the frame itself, so the one copy of a
+// user's name a node keeps is the one in its ingest engine's user
+// table. Decode, the reference twin that materializes reports,
 // allocates one string per frame for the whole user table.
 package wire
 
@@ -154,7 +155,11 @@ type Encoder struct {
 	userIdx map[string]int
 	users   []string
 	counts  []uint64
+	recs    []encRec // per report: its user and class index, from pass 1
 }
+
+// encRec is one report's indexes, resolved once in pass 1.
+type encRec struct{ user, class uint32 }
 
 // NewEncoder builds an encoder over the class table.
 func NewEncoder(tab *ClassTable) *Encoder {
@@ -195,13 +200,13 @@ func (e *Encoder) AppendFrame(dst []byte, reports []ingest.Report) ([]byte, erro
 
 func (e *Encoder) appendPayloadV1(dst []byte, reports []ingest.Report) ([]byte, error) {
 	// Pass 1: build the user table in first-appearance order and the
-	// per-class counts.
+	// per-class counts, and keep each report's indexes for pass 2.
 	clear(e.userIdx)
 	e.users = e.users[:0]
 	for i := range e.counts {
 		e.counts[i] = 0
 	}
-	type rec struct{ user, class int }
+	recs := e.recs[:0]
 	for i := range reports {
 		r := &reports[i]
 		ci, ok := e.tab.idx[r.Class]
@@ -209,11 +214,15 @@ func (e *Encoder) appendPayloadV1(dst []byte, reports []ingest.Report) ([]byte, 
 			return nil, fmt.Errorf("%w: report %d class %q not in table", ErrBadBatch, i, r.Class)
 		}
 		e.counts[ci]++
-		if _, seen := e.userIdx[r.User]; !seen {
-			e.userIdx[r.User] = len(e.users)
+		ui, seen := e.userIdx[r.User]
+		if !seen {
+			ui = len(e.users)
+			e.userIdx[r.User] = ui
 			e.users = append(e.users, r.User)
 		}
+		recs = append(recs, encRec{user: uint32(ui), class: uint32(ci)})
 	}
+	e.recs = recs
 	dst = binary.LittleEndian.AppendUint32(dst, e.tab.hash)
 	dst = binary.AppendUvarint(dst, uint64(e.tab.Len()))
 	for _, c := range e.counts {
@@ -225,11 +234,10 @@ func (e *Encoder) appendPayloadV1(dst []byte, reports []ingest.Report) ([]byte, 
 		dst = append(dst, u...)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(reports)))
-	for i := range reports {
-		r := &reports[i]
-		dst = binary.AppendUvarint(dst, uint64(e.userIdx[r.User]))
-		dst = binary.AppendUvarint(dst, uint64(e.tab.idx[r.Class]))
-		dst = binary.AppendUvarint(dst, packVolume(r.VolumeMB))
+	for i, r := range recs {
+		dst = binary.AppendUvarint(dst, uint64(r.user))
+		dst = binary.AppendUvarint(dst, uint64(r.class))
+		dst = binary.AppendUvarint(dst, packVolume(reports[i].VolumeMB))
 	}
 	return dst, nil
 }

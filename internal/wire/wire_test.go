@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"testing"
@@ -71,10 +73,41 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRoundTripOddVolumes(t *testing.T) {
+// TestEncodeFramesPinned pins the encoder's output bytes: the
+// round-trip batches must frame exactly as they did before the encoder
+// kept its per-report indexes between its two passes. The frame length
+// and SHA-256 of each were recorded from the earlier encoder.
+func TestEncodeFramesPinned(t *testing.T) {
 	tab := mustTable(t)
 	enc := NewEncoder(tab)
-	dec := NewDecoder(tab)
+	check := func(name string, batch []ingest.Report, wantLen int, wantSum string) {
+		t.Helper()
+		frame, err := enc.Encode(batch)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(frame)); len(frame) != wantLen || sum != wantSum {
+			t.Fatalf("%s: frame of %d bytes, sha256 %s; want %d bytes, %s", name, len(frame), sum, wantLen, wantSum)
+		}
+	}
+	for _, c := range []struct {
+		n, len int
+		sum    string
+	}{
+		{0, 22, "7258959457e53f0532b865b4c8d2d044b299f7c053147f80346fe6bba7859207"},
+		{1, 31, "b3d265709d7d98aeca2934c0866232352cbded36bee38ccc15d6fdd94ab8948a"},
+		{2, 42, "658f16fe7858af49c01507591707c4036f83c3cc9a213d663e90071c224062d6"},
+		{7, 91, "fe2b968b0f9d115b71c93576e4ccf6a9c653149223d97511cf64d941b14f91a5"},
+		{64, 321, "e5d1a65661e5310345499e8a8bb33dbef9723fab2b3b8f65c23260486312fb85"},
+		{1000, 4105, "785967b1a3d351bf45959638848b728856e464b8face174fac65a858aebabbef"},
+	} {
+		check(fmt.Sprintf("n=%d", c.n), sampleBatch(c.n), c.len, c.sum)
+	}
+	check("odd volumes", oddVolumeBatch(), 130, "a0068d4ce8f4b85852b02fcf2f3039e37db969b6a45da15f1637f948c3f59ae2")
+}
+
+// oddVolumeBatch carries every awkward float64 a volume can hold.
+func oddVolumeBatch() []ingest.Report {
 	vols := []float64{0, 1, -1, 0.1, 1e300, 1e-300, math.Inf(1), math.Inf(-1),
 		math.NaN(), math.Float64frombits(0x7ff8000000000123), // NaN with payload
 		math.MaxFloat64, math.SmallestNonzeroFloat64, -0.0}
@@ -82,6 +115,14 @@ func TestRoundTripOddVolumes(t *testing.T) {
 	for i, v := range vols {
 		batch[i] = ingest.Report{User: "u", Class: "web", VolumeMB: v}
 	}
+	return batch
+}
+
+func TestRoundTripOddVolumes(t *testing.T) {
+	tab := mustTable(t)
+	enc := NewEncoder(tab)
+	dec := NewDecoder(tab)
+	batch := oddVolumeBatch()
 	frame, err := enc.Encode(batch)
 	if err != nil {
 		t.Fatal(err)
