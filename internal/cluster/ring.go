@@ -74,12 +74,20 @@ type point struct {
 
 // Ring is an immutable consistent-hash ring; rebuild (Build) and swap
 // to change membership. Lookups are lock-free.
+//
+// A lookup is O(1): the circle is cut into 2^k equal buckets, at least
+// as many as there are points, and bucket[b] holds the index of the
+// first point at or after the bucket's start. A hash's owner is found
+// by a forward scan from its bucket's entry past the points below it,
+// which under mix32's uniform placement is about one point.
 type Ring struct {
 	version uint64
 	vnodes  int
 	members []Member
 	byID    map[string]int
 	points  []point
+	bucket  []int32 // bucket b → first point with h >= b<<shift, len(points) if none
+	shift   uint    // 32 − log2(len(bucket)); a hash's bucket is h >> shift
 }
 
 // Build constructs a ring from a config. Each member contributes
@@ -125,7 +133,26 @@ func Build(cfg Config) (*Ring, error) {
 		}
 		return r.members[pa.member].ID < r.members[pb.member].ID
 	})
+	r.index()
 	return r, nil
+}
+
+// index builds the bucket index over the sorted points.
+func (r *Ring) index() {
+	n := len(r.points)
+	r.shift = 32
+	for 1<<(32-r.shift) < n {
+		r.shift--
+	}
+	r.bucket = make([]int32, 1<<(32-r.shift))
+	p := 0
+	for b := range r.bucket {
+		start := uint64(b) << r.shift
+		for p < n && uint64(r.points[p].h) < start {
+			p++
+		}
+		r.bucket[b] = int32(p)
+	}
 }
 
 // Version returns the config version the ring was built from.
@@ -152,23 +179,19 @@ func (r *Ring) Config() Config {
 }
 
 // ownerIdx finds the member index owning hash h: the first point at or
-// clockwise of h, wrapping past the top of the circle.
+// clockwise of h, wrapping past the top of the circle. The scan starts
+// at the first point of h's bucket, so it passes only the points that
+// share h's bucket and lie below h.
 func (r *Ring) ownerIdx(h uint32) int32 {
 	pts := r.points
-	// Binary search for the first point with point.h >= h.
-	lo, hi := 0, len(pts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pts[mid].h < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i := int(r.bucket[h>>r.shift])
+	for i < len(pts) && pts[i].h < h {
+		i++
 	}
-	if lo == len(pts) {
-		lo = 0 // wrap
+	if i == len(pts) {
+		i = 0 // wrap
 	}
-	return pts[lo].member
+	return pts[i].member
 }
 
 // Owner returns the member owning a user key. Placement uses the exact

@@ -3,6 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"tdp/internal/ingest"
@@ -215,5 +217,93 @@ func TestOwnsHashesMatchesOwns(t *testing.T) {
 	}
 	if !r.OwnsHashes("n0", nil, nil) {
 		t.Fatal("an empty frame is not wholly owned")
+	}
+}
+
+// ownerIdxBinary is the reference twin of Ring.ownerIdx: a binary
+// search over the sorted points for the first one at or clockwise of
+// h, wrapping past the top of the circle.
+func ownerIdxBinary(r *Ring, h uint32) int32 {
+	pts := r.points
+	lo, hi := 0, len(pts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if pts[mid].h < h {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(pts) {
+		lo = 0
+	}
+	return pts[lo].member
+}
+
+// TestRingIndexMatchesBinarySearch: the bucket index finds the same
+// owner as a binary search over the points for random hashes, for every
+// point's hash and its two neighbours, and at both ends of the circle,
+// over 1–16 members at 1, 64 and 4096 vnodes, and on rings reached
+// through joins and removals.
+func TestRingIndexMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(24, 1))
+	check := func(r *Ring, where string) {
+		t.Helper()
+		hashes := []uint32{0, 1, math.MaxUint32 - 1, math.MaxUint32}
+		for _, p := range r.points {
+			hashes = append(hashes, p.h-1, p.h, p.h+1)
+		}
+		for range 2000 {
+			hashes = append(hashes, rng.Uint32())
+		}
+		for _, h := range hashes {
+			if got, want := r.ownerIdx(h), ownerIdxBinary(r, h); got != want {
+				t.Fatalf("%s: hash %#x owned by member %d, binary search says %d", where, h, got, want)
+			}
+		}
+		// OwnsHashes on a sample of them: the random ones and the ends.
+		sample := append(hashes[:4:4], hashes[len(hashes)-2000:]...)
+		owned := make([]bool, len(sample))
+		for i, m := range r.members {
+			r.OwnsHashes(m.ID, sample, owned)
+			for u, h := range sample {
+				if owned[u] != (ownerIdxBinary(r, h) == int32(i)) {
+					t.Fatalf("%s: OwnsHashes(%s) of %#x is %v against the binary search", where, m.ID, h, owned[u])
+				}
+			}
+		}
+		for _, k := range testKeys(200) {
+			want := r.members[ownerIdxBinary(r, ingest.UserHash(k))]
+			if r.Owner(k) != want || r.OwnerID(k) != want.ID || r.members[r.OwnerIndex(k)] != want || !r.Owns(want.ID, k) {
+				t.Fatalf("%s: key %q not placed on %s by every lookup", where, k, want.ID)
+			}
+		}
+	}
+	for _, vn := range []int{1, 64, 4096} {
+		for n := 1; n <= 16; n++ {
+			if vn == 4096 && n%5 != 1 {
+				continue // 1, 6, 11 and 16 members: the big rings are slow to check
+			}
+			members := testMembers(n)
+			r, err := Build(Config{Version: 1, VNodes: vn, Members: members})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(r, fmt.Sprintf("vnodes=%d members=%d", vn, n))
+			// Churn: each step removes a random member (while more than
+			// one is left) or joins a new one.
+			for step := range 4 {
+				if len(members) > 1 && rng.IntN(2) == 0 {
+					k := rng.IntN(len(members))
+					members = append(members[:k:k], members[k+1:]...)
+				} else {
+					members = append(members, Member{ID: fmt.Sprintf("j%d-%d", n, step)})
+				}
+				if r, err = Build(Config{Version: uint64(step + 2), VNodes: vn, Members: members}); err != nil {
+					t.Fatal(err)
+				}
+				check(r, fmt.Sprintf("vnodes=%d members=%d step=%d (%d members)", vn, n, step, len(members)))
+			}
+		}
 	}
 }

@@ -368,3 +368,126 @@ func TestRouterGivesUpAfterMaxRounds(t *testing.T) {
 		t.Fatalf("endless rejection: %v, want ErrRouting", err)
 	}
 }
+
+// ackAllSender acks every report of every frame and keeps nothing of
+// the body: it decodes the frame only to count its records.
+type ackAllSender struct {
+	mu  sync.Mutex
+	dec *wire.Decoder
+}
+
+func (s *ackAllSender) SendWire(_ context.Context, _ Member, body []byte) (WireAck, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, _, recs, _, err := s.dec.DecodeRecords(body)
+	if err != nil {
+		return WireAck{}, err
+	}
+	return WireAck{Accepted: len(recs), RingVersion: 1}, nil
+}
+
+// TestRouterSendAllocsFlat: a warm Send reuses its round scratch, so it
+// allocates the same at 256 and at 4096 reports; what it allocates is
+// per Send (the pipelining goroutines), not per report or per frame.
+func TestRouterSendAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	tab, err := wire.NewClassTable(routerClasses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := Build(Config{Version: 1, Members: testMembers(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter(tab, ring, &ackAllSender{dec: wire.NewDecoder(tab)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	allocs := make(map[int]float64)
+	for _, n := range []int{256, 4096} {
+		reps := routerReports(n/4, 4)
+		if _, err := rt.Send(ctx, reps); err != nil { // warm: size the scratch
+			t.Fatal(err)
+		}
+		allocs[n] = testing.AllocsPerRun(50, func() {
+			st, err := rt.Send(ctx, reps)
+			if err != nil || st.Reports != n {
+				t.Fatalf("Send of %d: %+v, %v", n, st, err)
+			}
+		})
+	}
+	t.Logf("allocs per Send: %v", allocs)
+	if allocs[256] != allocs[4096] {
+		t.Fatalf("allocs per Send %.1f at 256 reports, %.1f at 4096: a Send allocates per report or per frame", allocs[256], allocs[4096])
+	}
+}
+
+// TestRouterConcurrentSends: Sends from several goroutines share one
+// router, and so its spare round scratch; each report is still
+// accounted exactly once, and the cluster's class totals equal a
+// single engine fed the same stream.
+func TestRouterConcurrentSends(t *testing.T) {
+	tab, err := wire.NewClassTable(routerClasses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := Build(Config{Version: 1, Members: testMembers(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender := &memSender{nodes: make(map[string]*memNode)}
+	for _, m := range ring.Members() {
+		sender.nodes[m.ID] = newMemNode(t, m.ID, ring, tab)
+	}
+	rt, err := NewRouter(tab, ring, sender)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.SetMaxFrameReports(32); err != nil {
+		t.Fatal(err)
+	}
+	reps := routerReports(300, 4)
+	ref, err := ingest.NewEngine(routerClasses, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.RecordBatch(append([]ingest.Report(nil), reps...)); err != nil {
+		t.Fatal(err)
+	}
+	const senders, chunk = 4, 50
+	var wg sync.WaitGroup
+	var delivered atomic.Int64
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for lo := g * chunk; lo < len(reps); lo += senders * chunk {
+				st, err := rt.Send(context.Background(), reps[lo:min(lo+chunk, len(reps))])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				delivered.Add(int64(st.Reports))
+			}
+		}()
+	}
+	wg.Wait()
+	if delivered.Load() != int64(len(reps)) {
+		t.Fatalf("delivered %d of %d", delivered.Load(), len(reps))
+	}
+	sum := make([]float64, len(routerClasses))
+	for _, n := range sender.nodes {
+		for j, v := range n.eng.ClassTotals() {
+			sum[j] += v
+		}
+	}
+	for j, want := range ref.ClassTotals() {
+		//lint:allow floateq dyadic sums are exact; bit-identity is the property under test
+		if sum[j] != want {
+			t.Fatalf("class %d: cluster total %v, single-node %v", j, sum[j], want)
+		}
+	}
+}

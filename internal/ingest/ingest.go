@@ -82,17 +82,28 @@ func (c counter) mb() float64 {
 
 // period is one accounting period's sparse set over a shard's user ids:
 // ids lists the ids touched so far in first-touch order, and ctr holds
-// their counters, nClasses per touched id in the same order.
+// their counters, nClasses per touched id in the same order. tot keeps
+// the shard's running per-class totals, so the period's class totals
+// cost one add per class per shard instead of a sweep over its users.
 type period struct {
 	ids []int32
 	ctr []counter
-	n   int64 // reports accepted
-	b   int64 // batch lock acquisitions (grouped paths)
+	tot []counter // nClasses
+	n   int64     // reports accepted
+	b   int64     // batch lock acquisitions (grouped paths)
+}
+
+// add meters u units of class j into the counters starting at ctr[at],
+// and into the class total.
+func (p *period) add(at, j int, u uint64) {
+	p.ctr[at+j].add(u)
+	p.tot[j].add(u)
 }
 
 // reset empties the buffer, keeping its capacity.
 func (p *period) reset() {
 	p.ids, p.ctr, p.n, p.b = p.ids[:0], p.ctr[:0], 0, 0
+	clear(p.tot)
 }
 
 // shard is one lock stripe. The padding keeps adjacent shard mutexes on
@@ -173,6 +184,7 @@ func NewEngine(classes []string, shards int) (*Engine, error) {
 	}
 	for i := range e.shards {
 		e.shards[i].users = newUserTable()
+		e.shards[i].cur.tot = make([]counter, len(classes))
 	}
 	return e, nil
 }
@@ -275,7 +287,7 @@ func (e *Engine) Record(user, class string, volumeMB float64) error {
 	s := &e.shards[e.shardIdxFor(user)]
 	h := e.key(user)
 	s.mu.Lock()
-	s.cur.ctr[s.counters(id(s, h, user), e.zeros)+idx].add(units(volumeMB))
+	s.cur.add(s.counters(id(s, h, user), e.zeros), idx, units(volumeMB))
 	s.cur.n++
 	s.mu.Unlock()
 	if m := e.metrics(); m != nil {
@@ -307,7 +319,7 @@ func (e *Engine) RecordBatch(reports []Report) error {
 	}
 	apply := func(s *shard, i int) {
 		r := &reports[i]
-		s.cur.ctr[s.counters(id(s, e.key(r.User), r.User), e.zeros)+int(idxs[i])].add(units(r.VolumeMB))
+		s.cur.add(s.counters(id(s, e.key(r.User), r.User), e.zeros), int(idxs[i]), units(r.VolumeMB))
 		s.cur.n++
 	}
 	// Batches smaller than the stripe count rarely land two reports on
@@ -362,13 +374,10 @@ func (e *Engine) unlockAll() {
 	}
 }
 
-// classTotals sums per-class counters of one period buffer into out.
+// classTotals adds one period buffer's class totals into out.
 func classTotals(out []counter, p *period) {
-	nC := len(out)
-	for k := range p.ids {
-		for j, c := range p.ctr[k*nC : (k+1)*nC] {
-			out[j].addCounter(c)
-		}
+	for j, c := range p.tot {
+		out[j].addCounter(c)
 	}
 }
 
@@ -511,6 +520,9 @@ func (e *Engine) Rollover() *Cut {
 	c := e.spare.Swap(nil)
 	if c == nil {
 		c = &Cut{e: e, closed: make([]period, len(e.shards))}
+		for i := range c.closed {
+			c.closed[i].tot = make([]counter, len(e.classes))
+		}
 	}
 	e.lockAll()
 	for i := range e.shards {

@@ -116,7 +116,9 @@ func checkIDs(t *testing.T, eng *Engine, places map[string]place, where string) 
 // (non-dyadic volumes, mixed Record/RecordBatch/ApplyWire, interleaved
 // rollovers) through the sharded engine at 1, 4, and 16 shards and
 // asserts ClassTotals, UserTotals, and Rollover results equal the
-// quantized serial reference exactly. The user pool grows with the
+// quantized serial reference exactly. The running class totals, which
+// each shard keeps as it applies reports, are checked against the
+// reference after every operation. The user pool grows with the
 // stream, so every shard's user table grows through several sizes
 // across rollovers; the reference's plain map of first-seen places
 // checks that no user ever changes id and that ids stay dense.
@@ -178,6 +180,14 @@ func TestShardedMatchesSerialProperty(t *testing.T) {
 					}
 					seen(r)
 					ref.record(r.User, r.Class, r.VolumeMB)
+				}
+				got, want := eng.ClassTotals(), ref.classTotals()
+				for j := range want {
+					//lint:allow floateq integer sums converted once: equality is the property under test
+					if got[j] != want[j] {
+						t.Fatalf("shards=%d trial=%d op=%d: running ClassTotals %v != serial %v",
+							shards, trial, op, got, want)
+					}
 				}
 			}
 			checkTotals(t, shards, trial, "final",

@@ -148,7 +148,7 @@ func (e *Engine) ApplyWire(users [][]byte, hashes []uint32, recs []WireRecord) e
 			if at[r.User] < 0 {
 				at[r.User] = int32(s.counters(id(s, key[r.User], users[r.User]), e.zeros))
 			}
-			s.cur.ctr[at[r.User]+r.Class].add(units(r.VolumeMB))
+			s.cur.add(int(at[r.User]), int(r.Class), units(r.VolumeMB))
 			n++
 		}
 		s.cur.n += n

@@ -1,8 +1,10 @@
 package tube
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"tdp/internal/cluster"
+	"tdp/internal/wire"
 )
 
 func TestUsageBatchEndpoint(t *testing.T) {
@@ -129,5 +132,60 @@ func TestServerServeShutdown(t *testing.T) {
 	srv2, _ := NewServer(opt)
 	if err := srv2.Shutdown(context.Background()); err != nil {
 		t.Errorf("Shutdown before Serve: %v", err)
+	}
+}
+
+// TestUsageWireAllocsFlat: POST /usage/wire reuses its request scratch
+// (body, decoder, frame arenas, ownership flags), so a warm request on
+// a one-node cluster allocates the same with 16 and with 1024 reports
+// in its frame, and with its 1024 reports split over four frames.
+func TestUsageWireAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	opt, err := NewOptimizer(OptimizerConfig{Scenario: testScenario(), Classes: testClasses()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cluster.Config{Version: 1, Members: []cluster.Member{{ID: "n0", Addr: "http://local"}}}
+	if err := srv.EnableCluster(ClusterOptions{SelfID: "n0", Ring: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := wire.NewClassTable(testClasses())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := make(map[string]float64)
+	for _, c := range []struct{ frames, reports int }{{1, 16}, {1, 1024}, {4, 256}} {
+		var body []byte
+		for f := 0; f < c.frames; f++ {
+			batch := make([]UsageReport, c.reports)
+			for i := range batch {
+				batch[i] = UsageReport{User: fmt.Sprintf("user%d-%04d", f, i/4), Class: testClasses()[i%3], VolumeMB: 1}
+			}
+			if body, err = wire.NewEncoder(tab).AppendFrame(body, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		name := fmt.Sprintf("%d×%d", c.frames, c.reports)
+		post := func() {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/usage/wire", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s reports: status %d: %s", name, rec.Code, rec.Body)
+			}
+		}
+		post() // warm: the users join the engine, the scratch grows
+		allocs[name] = testing.AllocsPerRun(50, post)
+	}
+	t.Logf("allocs per request, by frames×reports: %v", allocs)
+	for _, n := range allocs {
+		if n != allocs["1×16"] {
+			t.Fatalf("allocs per request %v: the handler allocates per report or per frame", allocs)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package tube
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"tdp/internal/core"
@@ -204,7 +205,22 @@ func (o *Optimizer) publish(period int, rewards []float64) {
 // for it, feeds the observation to the online price engine, logs price
 // and usage history, and publishes the updated schedule as one new
 // record. It returns the closed period's per-class measured volumes.
+//
+// Publishing wakes the price polls held for the new record (followers'
+// GET /cluster/snapshot long polls). They are readied behind the
+// caller, so ClosePeriod yields the processor once the record is out:
+// the new price leaves the node before the caller's next work, such as
+// closing the other nodes of a cluster in turn, rather than after it.
 func (o *Optimizer) ClosePeriod() ([]float64, error) {
+	observed, err := o.closePeriod()
+	if err == nil {
+		runtime.Gosched()
+	}
+	return observed, err
+}
+
+// closePeriod is ClosePeriod under o.mu.
+func (o *Optimizer) closePeriod() ([]float64, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	// One atomic rollover: per-class and per-user totals come from the

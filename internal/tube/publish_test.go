@@ -9,8 +9,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -349,5 +351,43 @@ func TestShutdownReleasesHeldPoll(t *testing.T) {
 		if err := <-served[i]; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestClosePeriodYieldsToHeldPolls: a close lets the polls its
+// publication woke run before it returns, so an operator closing
+// several nodes in turn does not hold the new price back until its
+// round ends. On one processor a caller that never blocks would run on
+// past them every time; the yield lets them go first in nearly every
+// close (the scheduler takes the yielded caller back first in about one
+// pick of 61), so the test asks for a majority, not for all.
+func TestClosePeriodYieldsToHeldPolls(t *testing.T) {
+	opt, err := NewOptimizer(OptimizerConfig{Scenario: testScenario(), Classes: testClasses()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const closes = 20
+	first := 0
+	for i := 0; i < closes; i++ {
+		after := opt.pub.load().taken
+		var answered atomic.Bool
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			opt.pub.await(context.Background(), after, time.Minute, nil)
+			answered.Store(true)
+		}()
+		time.Sleep(time.Millisecond) // the poll parks in await
+		if _, err := opt.ClosePeriod(); err != nil {
+			t.Fatal(err)
+		}
+		if answered.Load() {
+			first++
+		}
+		<-done
+	}
+	if first < closes/2 {
+		t.Fatalf("held poll answered before ClosePeriod returned in %d of %d closes, want a majority", first, closes)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,9 +43,9 @@ type Server struct {
 	opt *Optimizer
 	mux *http.ServeMux
 
-	// decPool decodes POST /usage/wire bodies; wireReports and
+	// wirePool holds POST /usage/wire request scratch; wireReports and
 	// wireRejected count the reports each ack accepted and disowned.
-	decPool      sync.Pool // *wire.Decoder
+	wirePool     sync.Pool // *wireScratch
 	wireReports  *obs.Counter
 	wireRejected *obs.Counter
 
@@ -96,7 +97,7 @@ func NewServer(opt *Optimizer) (*Server, error) {
 		rejected: make(map[string]*obs.Counter),
 		done:     make(chan struct{}),
 	}
-	s.decPool.New = func() any { return wire.NewDecoder(tab) }
+	s.wirePool.New = func() any { return &wireScratch{dec: wire.NewDecoder(tab)} }
 	s.wireReports = s.reg.Counter("cluster_wire_reports_total", "reports accepted over the wire ingest path", nil)
 	s.wireRejected = s.reg.Counter("cluster_wire_rejected_total", "reports rejected as not-owned on the wire ingest path", nil)
 	s.handle("GET /price", "price", s.handlePrice)
@@ -280,14 +281,60 @@ func (s *Server) handleBill(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, billing.Statements())
 }
 
-// wireBatch is one admitted frame of a POST /usage/wire body, copied
-// out of the decoder's scratch so the next frame can be decoded before
-// any of them is applied. The users stay views into the request body;
+// wireScratch is one POST /usage/wire request's working memory, pooled
+// across requests so that a steady stream of them allocates nothing per
+// frame: the body, the decoder, and the admitted frames copied out of
+// the decoder's scratch into arenas, so the next frame can be decoded
+// before any of them is applied. The users stay views into the body;
 // only the slice headers copy.
-type wireBatch struct {
-	users  [][]byte
-	hashes []uint32
-	recs   []ingest.WireRecord
+type wireScratch struct {
+	body     []byte
+	dec      *wire.Decoder
+	users    [][]byte            // admitted frames' user tables, back to back
+	hashes   []uint32            // users' ingest.UserHash, as the decoder returned them
+	recs     []ingest.WireRecord // admitted frames' owned records, back to back
+	frames   []wireFrame
+	owned    []bool // per user of the frame at hand: owned by this node
+	rejected []int
+}
+
+// wireFrame is where one admitted frame ends in the scratch arenas; it
+// starts where the previous one ends.
+type wireFrame struct{ users, recs int }
+
+// maxPooledBody is the largest body buffer the wire scratch keeps: a
+// rare huge body is not pinned in the pool for later small ones.
+const maxPooledBody = 4 << 20
+
+// putWireScratch returns a request's scratch to the pool, dropping an
+// oversized body buffer and the views into it.
+func (s *Server) putWireScratch(sc *wireScratch) {
+	if cap(sc.body) > maxPooledBody {
+		sc.body, sc.users = nil, nil
+	}
+	s.wirePool.Put(sc)
+}
+
+// readBody reads r to EOF, appending to buf. It sizes buf once from the
+// request's Content-Length when the client sent one, with a spare byte
+// for the read that finds EOF, and grows it by appending otherwise.
+func readBody(r io.Reader, size int64, buf []byte) ([]byte, error) {
+	if size > 0 && size < maxWireBody && int64(cap(buf)-len(buf)) <= size {
+		buf = slices.Grow(buf, int(size)+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // handleUsageWire is the server's one usage door. It decodes every frame
@@ -305,7 +352,10 @@ type wireBatch struct {
 // RingVersion tells a stale router to refetch. A server outside a
 // cluster is a one-node ring: it owns every user and acks RingVersion 0.
 func (s *Server) handleUsageWire(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxWireBody))
+	sc := s.wirePool.Get().(*wireScratch)
+	defer s.putWireScratch(sc)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxWireBody), r.ContentLength, sc.body[:0])
+	sc.body = body
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -316,8 +366,6 @@ func (s *Server) handleUsageWire(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	dec := s.decPool.Get().(*wire.Decoder)
-	defer s.decPool.Put(dec)
 	var (
 		ring   *cluster.Ring
 		selfID string
@@ -326,11 +374,11 @@ func (s *Server) handleUsageWire(w http.ResponseWriter, r *http.Request) {
 		ring, selfID = cl.ring.Load(), cl.selfID
 	}
 	eng := s.opt.Measurement()
-	var admitted []wireBatch
-	var rejected []int
+	sc.users, sc.hashes, sc.recs = sc.users[:0], sc.hashes[:0], sc.recs[:0]
+	sc.frames, sc.rejected = sc.frames[:0], sc.rejected[:0]
 	base := 0 // report index of the current frame's first record
 	for buf := body; len(buf) > 0; {
-		users, hashes, recs, n, err := dec.DecodeRecords(buf)
+		users, hashes, recs, n, err := sc.dec.DecodeRecords(buf)
 		if err == nil {
 			err = eng.CheckWire(users, recs)
 		}
@@ -344,60 +392,58 @@ func (s *Server) handleUsageWire(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		buf = buf[n:]
-		var owned []ingest.WireRecord
-		if ownedUser := ownership(ring, selfID, hashes); ownedUser == nil {
-			owned = append(owned, recs...)
+		owned, all := ownership(ring, selfID, hashes, sc.owned)
+		sc.owned = owned
+		from := len(sc.recs)
+		if all {
+			sc.recs = append(sc.recs, recs...)
 		} else {
 			for i := range recs {
-				if ownedUser[recs[i].User] {
-					owned = append(owned, recs[i])
+				if owned[recs[i].User] {
+					sc.recs = append(sc.recs, recs[i])
 				} else {
-					rejected = append(rejected, base+i)
+					sc.rejected = append(sc.rejected, base+i)
 				}
 			}
 		}
-		if len(owned) > 0 {
-			admitted = append(admitted, wireBatch{
-				users:  append([][]byte(nil), users...),
-				hashes: append([]uint32(nil), hashes...),
-				recs:   owned,
-			})
+		if len(sc.recs) > from {
+			sc.users = append(sc.users, users...)
+			sc.hashes = append(sc.hashes, hashes...)
+			sc.frames = append(sc.frames, wireFrame{users: len(sc.users), recs: len(sc.recs)})
 		}
 		base += len(recs)
 	}
-	accepted := 0
-	for _, b := range admitted {
-		if err := eng.ApplyWire(b.users, b.hashes, b.recs); err != nil {
+	accepted, u0 := 0, 0
+	for _, f := range sc.frames {
+		if err := eng.ApplyWire(sc.users[u0:f.users], sc.hashes[u0:f.users], sc.recs[accepted:f.recs]); err != nil {
 			// Unreachable: every frame passed CheckWire above.
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		accepted += len(b.recs)
+		u0, accepted = f.users, f.recs
 	}
 	s.wireReports.Add(int64(accepted))
-	s.wireRejected.Add(int64(len(rejected)))
+	s.wireRejected.Add(int64(len(sc.rejected)))
 	var version uint64
 	if ring != nil {
 		version = ring.Version()
 	}
 	writeJSON(w, http.StatusOK, cluster.WireAck{
 		Accepted:    accepted,
-		Rejected:    rejected,
+		Rejected:    sc.rejected,
 		RingVersion: version,
 	})
 }
 
-// ownership returns, per frame user, whether selfID owns it under ring,
-// or nil when it owns them all (always so without a ring).
-func ownership(ring *cluster.Ring, selfID string, hashes []uint32) []bool {
+// ownership reports, in owned (scratch, grown to one entry per frame
+// user), whether selfID owns each user under ring, and whether it owns
+// them all (always so without a ring, when owned is left as given).
+func ownership(ring *cluster.Ring, selfID string, hashes []uint32, scratch []bool) (owned []bool, all bool) {
 	if ring == nil {
-		return nil
+		return scratch, true
 	}
-	owned := make([]bool, len(hashes))
-	if ring.OwnsHashes(selfID, hashes, owned) {
-		return nil
-	}
-	return owned
+	owned = slices.Grow(scratch[:0], len(hashes))[:len(hashes)]
+	return owned, ring.OwnsHashes(selfID, hashes, owned)
 }
 
 // decodeJSONBody decodes a size-bounded JSON request body.

@@ -35,7 +35,7 @@
 // other version byte is ErrVersion.
 //
 // Encode and DecodeRecords are zero-allocation at steady state: the
-// Encoder reuses its output buffer, its user-index map and the report
+// Encoder reuses its output buffer, its flat user table and the report
 // indexes it resolves once per frame, and DecodeRecords returns the
 // frame's users as views into the frame itself, so the one copy of a
 // user's name a node keeps is the one in its ingest engine's user
@@ -48,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"math"
 	"math/bits"
 
@@ -148,14 +149,23 @@ func packVolume(v float64) uint64 { return bits.ReverseBytes64(math.Float64bits(
 func unpackVolume(u uint64) float64 { return math.Float64frombits(bits.ReverseBytes64(u)) }
 
 // Encoder turns report batches into frames. Not safe for concurrent
-// use; pool one per sending goroutine (the Router does).
+// use; keep one per encoding goroutine (the Router keeps one per Send).
 type Encoder struct {
-	tab     *ClassTable
-	buf     []byte
-	userIdx map[string]int
-	users   []string
-	counts  []uint64
-	recs    []encRec // per report: its user and class index, from pass 1
+	tab    *ClassTable
+	buf    []byte
+	seed   maphash.Seed
+	slots  []encSlot // the frame's user table: open addressing, power-of-two size
+	users  []string
+	counts []uint64
+	recs   []encRec // per report: its user and class index, from pass 1
+}
+
+// encSlot is one slot of the encoder's user table: the user's seeded
+// hash and one more than its index in the frame's user table, so the
+// zero slot is empty.
+type encSlot struct {
+	hash  uint32
+	user1 uint32
 }
 
 // encRec is one report's indexes, resolved once in pass 1.
@@ -164,9 +174,47 @@ type encRec struct{ user, class uint32 }
 // NewEncoder builds an encoder over the class table.
 func NewEncoder(tab *ClassTable) *Encoder {
 	return &Encoder{
-		tab:     tab,
-		userIdx: make(map[string]int),
-		counts:  make([]uint64, tab.Len()),
+		tab:    tab,
+		seed:   maphash.MakeSeed(),
+		counts: make([]uint64, tab.Len()),
+	}
+}
+
+// minEncSlots is the smallest user table an encoder keeps.
+const minEncSlots = 16
+
+// startFrame empties the user table for a frame of n reports, sized so
+// that it is at most half full.
+func (e *Encoder) startFrame(n int) {
+	size := minEncSlots
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(e.slots) < size {
+		e.slots = make([]encSlot, size)
+	}
+	e.slots = e.slots[:size]
+	clear(e.slots)
+}
+
+// userIndex returns user's index in the frame's user table, adding it
+// on its first report. The seeded hash only picks the probe start: every
+// hit is confirmed by comparing the name, so two users whose hashes or
+// slots collide still get their own entries.
+func (e *Encoder) userIndex(user string) uint32 {
+	h64 := maphash.String(e.seed, user)
+	h := uint32(h64 ^ h64>>32)
+	mask := len(e.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := &e.slots[i]
+		if s.user1 == 0 {
+			e.users = append(e.users, user)
+			*s = encSlot{hash: h, user1: uint32(len(e.users))}
+			return s.user1 - 1
+		}
+		if s.hash == h && e.users[s.user1-1] == user {
+			return s.user1 - 1
+		}
 	}
 }
 
@@ -201,11 +249,9 @@ func (e *Encoder) AppendFrame(dst []byte, reports []ingest.Report) ([]byte, erro
 func (e *Encoder) appendPayloadV1(dst []byte, reports []ingest.Report) ([]byte, error) {
 	// Pass 1: build the user table in first-appearance order and the
 	// per-class counts, and keep each report's indexes for pass 2.
-	clear(e.userIdx)
+	e.startFrame(len(reports))
 	e.users = e.users[:0]
-	for i := range e.counts {
-		e.counts[i] = 0
-	}
+	clear(e.counts)
 	recs := e.recs[:0]
 	for i := range reports {
 		r := &reports[i]
@@ -214,13 +260,7 @@ func (e *Encoder) appendPayloadV1(dst []byte, reports []ingest.Report) ([]byte, 
 			return nil, fmt.Errorf("%w: report %d class %q not in table", ErrBadBatch, i, r.Class)
 		}
 		e.counts[ci]++
-		ui, seen := e.userIdx[r.User]
-		if !seen {
-			ui = len(e.users)
-			e.userIdx[r.User] = ui
-			e.users = append(e.users, r.User)
-		}
-		recs = append(recs, encRec{user: uint32(ui), class: uint32(ci)})
+		recs = append(recs, encRec{user: e.userIndex(r.User), class: uint32(ci)})
 	}
 	e.recs = recs
 	dst = binary.LittleEndian.AppendUint32(dst, e.tab.hash)

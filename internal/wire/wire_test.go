@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"math"
 	"testing"
 
@@ -324,5 +325,74 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	})
 	if encAllocs != 0 {
 		t.Fatalf("steady-state encode allocates %.1f times per frame, want 0", encAllocs)
+	}
+}
+
+// TestEncoderUserTableCollisions: users that start their probe at the
+// same slot of the encoder's flat user table, and two users whose
+// seeded hashes are equal, found by brute force against this encoder's
+// seed, still get one user-table entry each, and the frame decodes to
+// the batch.
+func TestEncoderUserTableCollisions(t *testing.T) {
+	enc := NewEncoder(mustTable(t))
+	key := func(u string) uint32 {
+		h := maphash.String(enc.seed, u)
+		return uint32(h ^ h>>32)
+	}
+	// A 4-report frame keeps the smallest table; find four users whose
+	// probes start at one of its slots.
+	enc.startFrame(4)
+	mask := uint32(len(enc.slots) - 1)
+	bySlot := make(map[uint32][]string)
+	var sameSlot []string
+	for i := 0; sameSlot == nil; i++ {
+		u := fmt.Sprintf("s%d", i)
+		s := key(u) & mask
+		if bySlot[s] = append(bySlot[s], u); len(bySlot[s]) == 4 {
+			sameSlot = bySlot[s]
+		}
+	}
+	// Two users with equal 32-bit keys: a birthday search over a few
+	// hundred thousand names finds a pair.
+	byKey := make(map[uint32]string)
+	var sameKey []string
+	for i := 0; sameKey == nil; i++ {
+		u := fmt.Sprintf("k%d", i)
+		if v, ok := byKey[key(u)]; ok {
+			sameKey = []string{v, u}
+		}
+		byKey[key(u)] = u
+	}
+	for _, users := range [][]string{sameSlot, sameKey, append(sameSlot, sameKey...)} {
+		var batch []ingest.Report
+		for k := 0; k < 3; k++ {
+			for i, u := range users {
+				batch = append(batch, ingest.Report{User: u, Class: testClasses[(i+k)%3], VolumeMB: float64(1 + i + k)})
+			}
+		}
+		frame, err := enc.Encode(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := NewDecoder(mustTable(t))
+		table, _, _, _, err := dec.DecodeRecords(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(table) != len(users) {
+			t.Fatalf("users %q: frame user table has %d entries", users, len(table))
+		}
+		for i, u := range users {
+			if string(table[i]) != u {
+				t.Fatalf("users %q: table entry %d is %q", users, i, table[i])
+			}
+		}
+		got, _, err := dec.Decode(frame, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameReports(batch, got) {
+			t.Fatalf("users %q: frame decodes to another batch", users)
+		}
 	}
 }
