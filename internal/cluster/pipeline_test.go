@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"tdp/internal/ingest"
 	"tdp/internal/wire"
 )
 
@@ -108,14 +107,7 @@ func TestRouterPipelineChunkingExactness(t *testing.T) {
 	}
 	sender.mu.Unlock()
 	// Bit-identical totals against a single-node reference.
-	ref, err := ingest.NewEngine(routerClasses, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.RecordBatch(append([]ingest.Report(nil), reps...)); err != nil {
-		t.Fatal(err)
-	}
-	refClass := ref.ClassTotals()
+	refClass, _ := refTotals(reps)
 	sum := make([]float64, len(routerClasses))
 	for _, n := range mem.nodes {
 		for j, v := range n.eng.ClassTotals() {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,16 +17,18 @@ import (
 var routerClasses = []string{"web", "ftp", "video"}
 
 // memNode is an in-process stand-in for a clustered tube server: it
-// enforces ownership against its own ring view and accounts admitted
-// reports exactly once — the same admission contract the HTTP handler
-// implements, minus the transport.
+// admits a body the way the HTTP handler does — every frame decoded
+// (DecodeRecords) and validated (CheckWire) before any is applied, then
+// each frame's users checked against its own ring view (OwnsHashes) and
+// its owned records applied (ApplyWire) — minus the transport.
 type memNode struct {
 	id   string
 	eng  *ingest.Engine
 	ring atomic.Pointer[Ring]
 
-	mu  sync.Mutex
-	dec *wire.Decoder
+	mu       sync.Mutex
+	dec      *wire.Decoder
+	accepted int64 // reports applied, like the server's wire counter
 }
 
 // memSender routes wire bodies to memNodes. It implements RingFetcher,
@@ -41,30 +44,75 @@ func (s *memSender) SendWire(_ context.Context, node Member, body []byte) (WireA
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var reports []ingest.Report
-	for len(body) > 0 {
-		var consumed int
-		var err error
-		reports, consumed, err = n.dec.Decode(body, reports)
+	for buf := body; len(buf) > 0; {
+		users, _, recs, consumed, err := n.dec.DecodeRecords(buf)
+		if err == nil {
+			err = n.eng.CheckWire(users, recs)
+		}
 		if err != nil {
 			return WireAck{}, err
 		}
-		body = body[consumed:]
+		buf = buf[consumed:]
 	}
 	ring := n.ring.Load()
-	owned := make([]ingest.Report, 0, len(reports))
-	var rejected []int
-	for i := range reports {
-		if ring.Owns(n.id, reports[i].User) {
-			owned = append(owned, reports[i])
-		} else {
-			rejected = append(rejected, i)
+	ack := WireAck{RingVersion: ring.Version()}
+	base := 0 // report index of the frame's first record, across frames
+	for buf := body; len(buf) > 0; {
+		users, hashes, recs, consumed, _ := n.dec.DecodeRecords(buf)
+		owned := make([]bool, len(hashes))
+		ring.OwnsHashes(n.id, hashes, owned)
+		var mine []ingest.WireRecord
+		for i, r := range recs {
+			if owned[r.User] {
+				mine = append(mine, r)
+			} else {
+				ack.Rejected = append(ack.Rejected, base+i)
+			}
 		}
+		if err := n.eng.ApplyWire(users, hashes, mine); err != nil {
+			return WireAck{}, err
+		}
+		ack.Accepted += len(mine)
+		base += len(recs)
+		buf = buf[consumed:]
 	}
-	if err := n.eng.RecordBatch(owned); err != nil {
-		return WireAck{}, err
+	n.accepted += int64(ack.Accepted)
+	return ack, nil
+}
+
+// reportsApplied is the number of reports the node has applied.
+func (n *memNode) reportsApplied() int64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.accepted
+}
+
+// userTotals closes eng's period and returns its per-user volumes by
+// name.
+func userTotals(eng *ingest.Engine) map[string]float64 {
+	cut := eng.Rollover()
+	defer cut.Release()
+	out := make(map[string]float64)
+	names := make(map[int][]string)
+	cut.EachUser(func(shard int, id int32, mb float64) {
+		if names[shard] == nil {
+			names[shard] = eng.Names(shard)
+		}
+		out[names[shard][id]] = mb
+	})
+	return out
+}
+
+// refTotals is what one node accounts for the whole stream: the
+// per-class and per-user sums, exact because every volume is dyadic.
+func refTotals(reps []ingest.Report) ([]float64, map[string]float64) {
+	class := make([]float64, len(routerClasses))
+	user := make(map[string]float64)
+	for _, r := range reps {
+		class[slices.Index(routerClasses, r.Class)] += r.VolumeMB
+		user[r.User] += r.VolumeMB
 	}
-	return WireAck{Accepted: len(owned), Rejected: rejected, RingVersion: ring.Version()}, nil
+	return class, user
 }
 
 func (s *memSender) FetchRing(_ context.Context, node Member) (Config, error) {
@@ -114,15 +162,7 @@ func TestRouterExactlyOnceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps := routerReports(400, 6)
-	ref, err := ingest.NewEngine(routerClasses, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.RecordBatch(append([]ingest.Report(nil), reps...)); err != nil {
-		t.Fatal(err)
-	}
-	refClass := ref.ClassTotals()
-	refUser := ref.UserTotals()
+	refClass, refUser := refTotals(reps)
 
 	for _, nNodes := range []int{1, 3, 5} {
 		t.Run(fmt.Sprintf("nodes=%d", nNodes), func(t *testing.T) {
@@ -170,10 +210,14 @@ func TestRouterExactlyOnceProperty(t *testing.T) {
 			}
 			// Exactly one owner per user, holding exactly the reference
 			// total.
+			nodeUsers := make(map[string]map[string]float64)
+			for id, n := range sender.nodes {
+				nodeUsers[id] = userTotals(n.eng)
+			}
 			for user, want := range refUser {
 				holders := 0
-				for _, n := range sender.nodes {
-					if got, ok := n.eng.UserTotals()[user]; ok {
+				for _, totals := range nodeUsers {
+					if got, ok := totals[user]; ok {
 						holders++
 						//lint:allow floateq dyadic sums are exact
 						if got != want {
@@ -247,21 +291,14 @@ func TestRouterRebalanceExactlyOnce(t *testing.T) {
 	}
 
 	// Conservation + exactly-once across the rebalance.
-	ref, err := ingest.NewEngine(routerClasses, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.RecordBatch(append([]ingest.Report(nil), reps...)); err != nil {
-		t.Fatal(err)
-	}
-	refClass := ref.ClassTotals()
+	refClass, _ := refTotals(reps)
 	sum := make([]float64, len(routerClasses))
 	var accepted int64
 	for _, n := range sender.nodes {
 		for j, v := range n.eng.ClassTotals() {
 			sum[j] += v
 		}
-		accepted += n.eng.Accepted()
+		accepted += n.reportsApplied()
 	}
 	if accepted != int64(len(reps)) {
 		t.Fatalf("cluster accounted %d reports, sent %d", accepted, len(reps))
@@ -272,7 +309,7 @@ func TestRouterRebalanceExactlyOnce(t *testing.T) {
 			t.Fatalf("class %d: cluster total %v, single-node %v", j, sum[j], refClass[j])
 		}
 	}
-	if n3 := sender.nodes["n3"].eng.Accepted(); n3 == 0 {
+	if n3 := sender.nodes["n3"].reportsApplied(); n3 == 0 {
 		t.Fatal("joining node accounted nothing")
 	}
 }
@@ -309,7 +346,7 @@ func TestRouterLeaveExactlyOnce(t *testing.T) {
 	if _, err := rt.Send(ctx, reps[:half]); err != nil {
 		t.Fatal(err)
 	}
-	beforeLeave := sender.nodes["n1"].eng.Accepted()
+	beforeLeave := sender.nodes["n1"].reportsApplied()
 
 	// Decommission n1: every view moves to v2 (n1 keeps serving reads
 	// for the drain, but owns nothing).
@@ -320,34 +357,37 @@ func TestRouterLeaveExactlyOnce(t *testing.T) {
 	if _, err := rt.Send(ctx, reps[half:]); err != nil {
 		t.Fatal(err)
 	}
-	if got := sender.nodes["n1"].eng.Accepted(); got != beforeLeave {
+	if got := sender.nodes["n1"].reportsApplied(); got != beforeLeave {
 		t.Fatalf("decommissioned node accepted %d new reports", got-beforeLeave)
 	}
 	var accepted int64
 	for _, n := range sender.nodes {
-		accepted += n.eng.Accepted()
+		accepted += n.reportsApplied()
 	}
 	if accepted != int64(len(reps)) {
 		t.Fatalf("cluster accounted %d reports, sent %d", accepted, len(reps))
 	}
 }
 
-// errSender rejects everything, never updating its story: the router
-// must give up with ErrRouting instead of spinning.
+// errSender rejects every report of every frame, never updating its
+// story: the router must give up with ErrRouting instead of spinning.
 type errSender struct{ ring *Ring }
 
 func (s *errSender) SendWire(_ context.Context, _ Member, body []byte) (WireAck, error) {
 	tab, _ := wire.NewClassTable(routerClasses)
 	dec := wire.NewDecoder(tab)
-	reps, _, err := dec.Decode(body, nil)
-	if err != nil {
-		return WireAck{}, err
+	ack := WireAck{RingVersion: s.ring.Version()}
+	for len(body) > 0 {
+		_, _, recs, consumed, err := dec.DecodeRecords(body)
+		if err != nil {
+			return WireAck{}, err
+		}
+		for range recs {
+			ack.Rejected = append(ack.Rejected, len(ack.Rejected))
+		}
+		body = body[consumed:]
 	}
-	rej := make([]int, len(reps))
-	for i := range rej {
-		rej[i] = i
-	}
-	return WireAck{Accepted: 0, Rejected: rej, RingVersion: s.ring.Version()}, nil
+	return ack, nil
 }
 
 func TestRouterGivesUpAfterMaxRounds(t *testing.T) {
@@ -450,13 +490,7 @@ func TestRouterConcurrentSends(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps := routerReports(300, 4)
-	ref, err := ingest.NewEngine(routerClasses, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.RecordBatch(append([]ingest.Report(nil), reps...)); err != nil {
-		t.Fatal(err)
-	}
+	refClass, _ := refTotals(reps)
 	const senders, chunk = 4, 50
 	var wg sync.WaitGroup
 	var delivered atomic.Int64
@@ -484,7 +518,7 @@ func TestRouterConcurrentSends(t *testing.T) {
 			sum[j] += v
 		}
 	}
-	for j, want := range ref.ClassTotals() {
+	for j, want := range refClass {
 		//lint:allow floateq dyadic sums are exact; bit-identity is the property under test
 		if sum[j] != want {
 			t.Fatalf("class %d: cluster total %v, single-node %v", j, sum[j], want)

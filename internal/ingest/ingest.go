@@ -19,15 +19,13 @@
 //     touched this period and their compact counters, so a period costs
 //     memory and close time in the users it touched, not in every user
 //     ever seen.
-//   - Batched ingestion: RecordBatch validates a whole []Report up
-//     front (all-or-nothing) and then applies it with ONE lock
-//     acquisition per touched shard. ApplyWire (wireapply.go) does the
-//     same for a decoded wire frame without materializing reports; it is
-//     what the TUBE server's one usage endpoint, POST /usage/wire, calls
-//     on every frame before it acknowledges the request. Record and
-//     RecordBatch serve in-process callers.
-//   - One validation rule on every path: a known class, a non-empty
-//     user, and a volume in [0, MaxReportMB].
+//   - One apply path: ApplyWire (wireapply.go) folds a decoded wire
+//     frame into the counters without materializing reports, with ONE
+//     lock acquisition per touched shard. It is what the TUBE server's
+//     one usage endpoint, POST /usage/wire, calls on every frame before
+//     it acknowledges the request. Validation (CheckWire) is
+//     all-or-nothing per frame: a known class, a non-empty user, and a
+//     volume in [0, MaxReportMB].
 //   - Atomic period rollover: Rollover swaps every shard's period buffer
 //     for an empty one inside a single all-shards critical section that
 //     is O(shards), so each report lands entirely in the closed period
@@ -42,6 +40,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -90,7 +89,7 @@ type period struct {
 	ctr []counter
 	tot []counter // nClasses
 	n   int64     // reports accepted
-	b   int64     // batch lock acquisitions (grouped paths)
+	b   int64     // lock acquisitions: one per applied frame per touched shard
 }
 
 // add meters u units of class j into the counters starting at ctr[at],
@@ -120,8 +119,7 @@ type shard struct {
 // lives as long as the engine and the accounting period in progress.
 type Engine struct {
 	classes  []string
-	classIdx map[string]int // precomputed set: O(1) class check on the hot path
-	zeros    []counter      // nClasses zero counters, appended on a user's first touch in a period
+	zeros    []counter // nClasses zero counters, appended on a user's first touch in a period
 	shards   []shard
 	mask     uint32
 	seed     maphash.Seed                  // user-table key seed (usertable.go)
@@ -157,15 +155,13 @@ func NewEngine(classes []string, shards int) (*Engine, error) {
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("no classes: %w", ErrBadReport)
 	}
-	classIdx := make(map[string]int, len(classes))
 	for i, c := range classes {
 		if c == "" {
 			return nil, fmt.Errorf("class %d empty: %w", i, ErrBadReport)
 		}
-		if _, dup := classIdx[c]; dup {
+		if slices.Contains(classes[:i], c) {
 			return nil, fmt.Errorf("class %q duplicate: %w", c, ErrBadReport)
 		}
-		classIdx[c] = i
 	}
 	if shards <= 0 {
 		shards = DefaultShards()
@@ -175,12 +171,11 @@ func NewEngine(classes []string, shards int) (*Engine, error) {
 		shards = 1024
 	}
 	e := &Engine{
-		classes:  append([]string(nil), classes...),
-		classIdx: classIdx,
-		zeros:    make([]counter, len(classes)),
-		shards:   make([]shard, shards),
-		mask:     uint32(shards - 1),
-		seed:     maphash.MakeSeed(),
+		classes: append([]string(nil), classes...),
+		zeros:   make([]counter, len(classes)),
+		shards:  make([]shard, shards),
+		mask:    uint32(shards - 1),
+		seed:    maphash.MakeSeed(),
 	}
 	for i := range e.shards {
 		e.shards[i].users = newUserTable()
@@ -233,25 +228,10 @@ func validVolume(v float64) bool { return v >= 0 && v <= MaxReportMB }
 // (one instruction, unlike a float-to-uint64 one) cannot overflow.
 func units(v float64) uint64 { return uint64(int64(math.RoundToEven(v * unitsPerMB))) }
 
-// validate checks one report and resolves its class index.
-func (e *Engine) validate(r *Report) (int, error) {
-	if r.User == "" {
-		return 0, fmt.Errorf("empty user: %w", ErrBadReport)
-	}
-	idx, ok := e.classIdx[r.Class]
-	if !ok {
-		return 0, fmt.Errorf("unknown class %q: %w", r.Class, ErrBadReport)
-	}
-	if !validVolume(r.VolumeMB) {
-		return 0, fmt.Errorf("bad volume %v: %w", r.VolumeMB, ErrBadReport)
-	}
-	return idx, nil
-}
-
 // id returns the dense id on this shard of user, whose user-table key
 // is h, adding the user to the table the first time it is seen. Under
 // s.mu.
-func id[T string | []byte](s *shard, h uint32, user T) int32 {
+func id(s *shard, h uint32, user []byte) int32 {
 	id, slot := find(&s.users, h, user)
 	if id < 0 {
 		id = add(&s.users, h, user, slot)
@@ -272,92 +252,6 @@ func (s *shard) counters(id int32, zeros []counter) int {
 		s.cur.ctr = append(s.cur.ctr, zeros...)
 	}
 	return int(k) * len(zeros)
-}
-
-// Record accounts volumeMB of class traffic for user.
-func (e *Engine) Record(user, class string, volumeMB float64) error {
-	r := Report{User: user, Class: class, VolumeMB: volumeMB}
-	idx, err := e.validate(&r)
-	if err != nil {
-		if m := e.metrics(); m != nil {
-			m.rejected.Inc()
-		}
-		return err
-	}
-	s := &e.shards[e.shardIdxFor(user)]
-	h := e.key(user)
-	s.mu.Lock()
-	s.cur.add(s.counters(id(s, h, user), e.zeros), idx, units(volumeMB))
-	s.cur.n++
-	s.mu.Unlock()
-	if m := e.metrics(); m != nil {
-		m.records.Inc()
-	}
-	return nil
-}
-
-// RecordBatch accounts a whole batch with one lock acquisition per
-// touched shard. Validation is all-or-nothing: if any report is invalid
-// the batch is rejected and NOTHING is applied, so a client retrying a
-// failed batch cannot double-count its valid prefix.
-func (e *Engine) RecordBatch(reports []Report) error {
-	if len(reports) == 0 {
-		return nil
-	}
-	idxs := make([]int32, len(reports))
-	for i := range reports {
-		idx, err := e.validate(&reports[i])
-		if err != nil {
-			// All-or-nothing: the whole batch is rejected, so the whole
-			// batch counts as rejected.
-			if m := e.metrics(); m != nil {
-				m.rejected.Add(int64(len(reports)))
-			}
-			return fmt.Errorf("report %d: %w", i, err)
-		}
-		idxs[i] = int32(idx)
-	}
-	apply := func(s *shard, i int) {
-		r := &reports[i]
-		s.cur.add(s.counters(id(s, e.key(r.User), r.User), e.zeros), int(idxs[i]), units(r.VolumeMB))
-		s.cur.n++
-	}
-	// Batches smaller than the stripe count rarely land two reports on
-	// one shard, so grouping cannot amortize anything: per-report
-	// locking beats building the per-shard buckets (which are sized by
-	// the shard count).
-	if len(reports) < len(e.shards) {
-		for i := range reports {
-			s := &e.shards[e.shardIdxFor(reports[i].User)]
-			s.mu.Lock()
-			apply(s, i)
-			s.mu.Unlock()
-		}
-	} else {
-		perShard := make([][]int32, len(e.shards))
-		touched := make([]int, 0, 8)
-		for i := range reports {
-			si := e.shardIdxFor(reports[i].User)
-			if perShard[si] == nil {
-				touched = append(touched, si)
-			}
-			perShard[si] = append(perShard[si], int32(i))
-		}
-		for _, si := range touched {
-			s := &e.shards[si]
-			s.mu.Lock()
-			s.cur.b++
-			for _, i := range perShard[si] {
-				apply(s, int(i))
-			}
-			s.mu.Unlock()
-		}
-	}
-	if m := e.metrics(); m != nil {
-		m.records.Add(int64(len(reports)))
-		m.batches.Inc()
-	}
-	return nil
 }
 
 // lockAll acquires every stripe in index order (the one global ordering,
@@ -409,32 +303,6 @@ func (e *Engine) ClassTotals() []float64 {
 	}
 	e.unlockAll()
 	return toMB(sums)
-}
-
-// UserTotals returns the period-so-far total volume per user.
-func (e *Engine) UserTotals() map[string]float64 {
-	e.lockAll()
-	defer e.unlockAll()
-	out := make(map[string]float64)
-	for i := range e.shards {
-		s := &e.shards[i]
-		for k, id := range s.cur.ids {
-			out[s.users.name(id)] = s.cur.userMB(k, len(e.classes))
-		}
-	}
-	return out
-}
-
-// Accepted returns the number of reports accounted since the last
-// rollover.
-func (e *Engine) Accepted() int64 {
-	e.lockAll()
-	defer e.unlockAll()
-	var n int64
-	for i := range e.shards {
-		n += e.shards[i].cur.n
-	}
-	return n
 }
 
 // Lookup returns the shard and dense id of a user the engine has ever
@@ -512,10 +380,9 @@ func (c *Cut) Release() {
 
 // Rollover atomically closes the period: every shard's period buffer is
 // swapped for an empty one inside a single all-shards critical section,
-// so a concurrent Record/RecordBatch/ApplyWire lands entirely in the
-// closed period or entirely in the new one. The swap is O(shards); the
-// returned cut holds the closed period for the caller to read outside
-// the lock.
+// so a concurrent ApplyWire lands entirely in the closed period or
+// entirely in the new one. The swap is O(shards); the returned cut holds
+// the closed period for the caller to read outside the lock.
 func (e *Engine) Rollover() *Cut {
 	c := e.spare.Swap(nil)
 	if c == nil {

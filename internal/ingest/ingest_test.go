@@ -40,75 +40,63 @@ func TestShardCountNormalization(t *testing.T) {
 	}
 }
 
+// TestRecordValidation: a frame with an empty user, an unknown class,
+// or a negative or NaN volume is rejected and leaves nothing behind.
 func TestRecordValidation(t *testing.T) {
 	e, _ := NewEngine(classes3(), 4)
-	if err := e.Record("", "web", 1); !errors.Is(err, ErrBadReport) {
-		t.Errorf("empty user: err = %v", err)
+	for name, r := range map[string]Report{
+		"empty user":      {User: "", Class: "web", VolumeMB: 1},
+		"unknown class":   {User: "u", Class: "smtp", VolumeMB: 1},
+		"negative volume": {User: "u", Class: "web", VolumeMB: -1},
+		"NaN volume":      {User: "u", Class: "web", VolumeMB: math.NaN()},
+	} {
+		if err := applyReports(e, r); !errors.Is(err, ErrBadReport) {
+			t.Errorf("%s: err = %v", name, err)
+		}
 	}
-	if err := e.Record("u", "smtp", 1); !errors.Is(err, ErrBadReport) {
-		t.Errorf("unknown class: err = %v", err)
-	}
-	if err := e.Record("u", "web", -1); !errors.Is(err, ErrBadReport) {
-		t.Errorf("negative volume: err = %v", err)
-	}
-	if err := e.Record("u", "web", math.NaN()); !errors.Is(err, ErrBadReport) {
-		t.Errorf("NaN volume: err = %v", err)
+	if n := cutReports(e.Rollover()); n != 0 {
+		t.Errorf("%d invalid reports accounted", n)
 	}
 }
 
 // TestInfiniteVolumeRejected: one volume rule (finite, non-negative)
-// holds on every ingest path. An accepted +Inf would reach the period
+// holds on the one ingest path. An accepted +Inf would reach the period
 // totals, the online price engine's demand row and the bill.
 func TestInfiniteVolumeRejected(t *testing.T) {
 	for _, v := range []float64{math.Inf(1), math.Inf(-1)} {
 		e, _ := NewEngine(classes3(), 4)
-		if err := e.Record("u", "web", v); !errors.Is(err, ErrBadReport) {
-			t.Errorf("Record(%v): err = %v, want ErrBadReport", v, err)
-		}
-		batch := []Report{{User: "a", Class: "web", VolumeMB: 1}, {User: "b", Class: "ftp", VolumeMB: v}}
-		if err := e.RecordBatch(batch); !errors.Is(err, ErrBadReport) {
-			t.Errorf("RecordBatch(%v): err = %v, want ErrBadReport", v, err)
-		}
-		recs := []WireRecord{{User: 0, Class: 0, VolumeMB: 1}, {User: 1, Class: 1, VolumeMB: v}}
-		users := [][]byte{[]byte("a"), []byte("b")}
+		users, hashes, recs := wireFormOf([]Report{{User: "a", Class: "web", VolumeMB: 1}, {User: "b", Class: "ftp", VolumeMB: v}}, classes3())
 		if err := e.CheckWire(users, recs); !errors.Is(err, ErrBadReport) {
 			t.Errorf("CheckWire(%v): err = %v, want ErrBadReport", v, err)
 		}
-		if err := e.ApplyWire(users, nil, recs); !errors.Is(err, ErrBadReport) {
+		if err := e.ApplyWire(users, hashes, recs); !errors.Is(err, ErrBadReport) {
 			t.Errorf("ApplyWire(%v): err = %v, want ErrBadReport", v, err)
 		}
-		if n := e.Accepted(); n != 0 {
+		if n := cutReports(e.Rollover()); n != 0 {
 			t.Errorf("volume %v: %d reports accounted, want 0", v, n)
 		}
 	}
 }
 
-// TestFiniteReportsCannotOverflow: every path caps one report at
+// TestFiniteReportsCannotOverflow: the ingest path caps one report at
 // MaxReportMB, so finite reports can no longer sum to +Inf. Two 1e308
 // reports used to be accepted and close as [+Inf 0 0].
 func TestFiniteReportsCannotOverflow(t *testing.T) {
 	e, _ := NewEngine(classes3(), 4)
 	for i := 0; i < 2; i++ {
-		if err := e.Record("alice", "web", 1e308); !errors.Is(err, ErrBadReport) {
-			t.Fatalf("Record(1e308) #%d: err = %v, want ErrBadReport", i+1, err)
+		if err := applyReports(e, Report{User: "alice", Class: "web", VolumeMB: 1e308}); !errors.Is(err, ErrBadReport) {
+			t.Fatalf("1e308 #%d: err = %v, want ErrBadReport", i+1, err)
 		}
 	}
 	over := math.Nextafter(MaxReportMB, math.Inf(1))
-	if err := e.Record("alice", "web", over); !errors.Is(err, ErrBadReport) {
-		t.Errorf("Record just over the cap: err = %v, want ErrBadReport", err)
-	}
-	if err := e.RecordBatch([]Report{{User: "a", Class: "web", VolumeMB: 1}, {User: "b", Class: "ftp", VolumeMB: over}}); !errors.Is(err, ErrBadReport) {
-		t.Errorf("RecordBatch over the cap: err = %v, want ErrBadReport", err)
-	}
-	users := [][]byte{[]byte("a"), []byte("b")}
-	recs := []WireRecord{{User: 0, Class: 0, VolumeMB: 1}, {User: 1, Class: 1, VolumeMB: over}}
+	users, hashes, recs := wireFormOf([]Report{{User: "a", Class: "web", VolumeMB: 1}, {User: "b", Class: "ftp", VolumeMB: over}}, classes3())
 	if err := e.CheckWire(users, recs); !errors.Is(err, ErrBadReport) {
 		t.Errorf("CheckWire over the cap: err = %v, want ErrBadReport", err)
 	}
-	if err := e.ApplyWire(users, nil, recs); !errors.Is(err, ErrBadReport) {
+	if err := e.ApplyWire(users, hashes, recs); !errors.Is(err, ErrBadReport) {
 		t.Errorf("ApplyWire over the cap: err = %v, want ErrBadReport", err)
 	}
-	if n := e.Accepted(); n != 0 {
+	if n := cutReports(e.Rollover()); n != 0 {
 		t.Fatalf("%d over-cap reports accounted, want 0", n)
 	}
 	// Reports at the cap are accepted, and their sums neither wrap nor
@@ -116,11 +104,11 @@ func TestFiniteReportsCannotOverflow(t *testing.T) {
 	// (an int64 counter wraps after 8), not the 128-bit counters.
 	const n = 1000
 	for i := 0; i < n; i++ {
-		if err := e.Record("alice", "web", MaxReportMB); err != nil {
-			t.Fatalf("Record at the cap: %v", err)
+		if err := applyReports(e, Report{User: "alice", Class: "web", VolumeMB: MaxReportMB}); err != nil {
+			t.Fatalf("report at the cap: %v", err)
 		}
 	}
-	if err := e.RecordBatch([]Report{{User: "bob", Class: "web", VolumeMB: MaxReportMB}, {User: "bob", Class: "web", VolumeMB: MaxReportMB}}); err != nil {
+	if err := applyReports(e, Report{User: "bob", Class: "web", VolumeMB: MaxReportMB}, Report{User: "bob", Class: "web", VolumeMB: MaxReportMB}); err != nil {
 		t.Fatal(err)
 	}
 	cut := e.Rollover()
@@ -131,41 +119,20 @@ func TestFiniteReportsCannotOverflow(t *testing.T) {
 	}
 }
 
-// TestRecordWarmAllocs pins the single-report hot path: a warm Record
-// (user and shard map entry already present) allocates nothing.
-func TestRecordWarmAllocs(t *testing.T) {
-	e, err := NewEngine(classes3(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Record("alice", "web", 1); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := e.Record("alice", "web", 1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("warm Record allocates %.1f per call, want 0", allocs)
-	}
-}
-
 func TestAccounting(t *testing.T) {
 	e, err := NewEngine(classes3(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	must := func(u, c string, v float64) {
-		t.Helper()
-		if err := e.Record(u, c, v); err != nil {
-			t.Fatalf("Record(%s,%s,%v): %v", u, c, v, err)
-		}
+	if err := applyReports(e, Report{User: "user1", Class: "web", VolumeMB: 10}, Report{User: "user2", Class: "video", VolumeMB: 100}); err != nil {
+		t.Fatal(err)
 	}
-	must("user1", "web", 10)
-	must("user1", "web", 5)
-	must("user2", "video", 100)
-	must("user2", "ftp", 20)
+	if err := applyReports(e, Report{User: "user1", Class: "web", VolumeMB: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := applyReports(e, Report{User: "user2", Class: "ftp", VolumeMB: 20}); err != nil {
+		t.Fatal(err)
+	}
 
 	want := []float64{15, 20, 100}
 	got := e.ClassTotals()
@@ -173,13 +140,6 @@ func TestAccounting(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("ClassTotals[%d] = %v, want %v", i, got[i], want[i])
 		}
-	}
-	ut := e.UserTotals()
-	if len(ut) != 2 || ut["user1"] != 15 || ut["user2"] != 120 {
-		t.Errorf("UserTotals = %v", ut)
-	}
-	if n := e.Accepted(); n != 4 {
-		t.Errorf("Accepted = %d, want 4", n)
 	}
 
 	cut := e.Rollover()
@@ -189,51 +149,28 @@ func TestAccounting(t *testing.T) {
 			t.Errorf("Rollover class totals %v, want %v", ct, want)
 		}
 	}
-	if pu["user1"] != 15 || pu["user2"] != 120 {
+	if len(pu) != 2 || pu["user1"] != 15 || pu["user2"] != 120 {
 		t.Errorf("Rollover user totals = %v", pu)
+	}
+	if n := cutReports(cut); n != 4 {
+		t.Errorf("Rollover accepted %d reports, want 4", n)
 	}
 	for _, v := range e.ClassTotals() {
 		if v != 0 {
 			t.Error("counters not cleared by Rollover")
 		}
 	}
-	if n := e.Accepted(); n != 0 {
-		t.Errorf("Accepted after rollover = %d, want 0", n)
+	if n := cutReports(e.Rollover()); n != 0 {
+		t.Errorf("period after rollover accepted %d reports, want 0", n)
 	}
 }
 
-func TestRecordBatchAllOrNothing(t *testing.T) {
-	e, _ := NewEngine(classes3(), 4)
-	batch := []Report{
-		{User: "a", Class: "web", VolumeMB: 1},
-		{User: "b", Class: "ftp", VolumeMB: 2},
-		{User: "c", Class: "bogus", VolumeMB: 3}, // invalid → reject whole batch
-	}
-	if err := e.RecordBatch(batch); !errors.Is(err, ErrBadReport) {
-		t.Fatalf("bad batch: err = %v, want ErrBadReport", err)
-	}
-	for _, v := range e.ClassTotals() {
-		if v != 0 {
-			t.Fatal("rejected batch left residue")
-		}
-	}
-	if err := e.RecordBatch(batch[:2]); err != nil {
-		t.Fatalf("valid batch: %v", err)
-	}
-	ct := e.ClassTotals()
-	if ct[0] != 1 || ct[1] != 2 || ct[2] != 0 {
-		t.Errorf("ClassTotals = %v", ct)
-	}
-	if err := e.RecordBatch(nil); err != nil {
-		t.Errorf("empty batch: %v", err)
-	}
-}
-
-// TestConcurrentRecordRollover hammers Record/RecordBatch against
-// Rollover under -race and asserts no report is lost or double-counted:
-// the sum of every closed period's totals plus the final totals must
-// equal exactly what the writers sent (integral volumes, so float
-// addition is exact regardless of interleaving).
+// TestConcurrentRecordRollover hammers ApplyWire, with one- and
+// two-record frames, against Rollover under -race and asserts no report
+// is lost or double-counted: the sum of every closed period's totals
+// plus the final totals must equal exactly what the writers sent
+// (integral volumes, so float addition is exact regardless of
+// interleaving).
 func TestConcurrentRecordRollover(t *testing.T) {
 	e, _ := NewEngine(classes3(), 8)
 	const writers = 8
@@ -251,14 +188,14 @@ func TestConcurrentRecordRollover(t *testing.T) {
 						{User: user, Class: "web", VolumeMB: 1},
 						{User: "shared", Class: "ftp", VolumeMB: 1},
 					}
-					if err := e.RecordBatch(batch); err != nil {
+					if err := applyReports(e, batch...); err != nil {
 						t.Error(err)
 						return
 					}
 					i++ // the batch carried this user's report for slot i too
 					continue
 				}
-				if err := e.Record(user, "web", 1); err != nil {
+				if err := applyReports(e, Report{User: user, Class: "web", VolumeMB: 1}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -320,9 +257,10 @@ func TestRolloverAllocsFlat(t *testing.T) {
 		for i := range batch {
 			batch[i] = Report{User: fmt.Sprintf("user%05d", i), Class: classes3()[i%3], VolumeMB: 1.5}
 		}
+		names, hashes, recs := wireFormOf(batch, classes3())
 		var sink float64
 		period := func() {
-			if err := e.RecordBatch(batch); err != nil {
+			if err := e.ApplyWire(names, hashes, recs); err != nil {
 				t.Fatal(err)
 			}
 			cut := e.Rollover()
@@ -333,7 +271,7 @@ func TestRolloverAllocsFlat(t *testing.T) {
 		period()
 		period()
 		recordOnly := testing.AllocsPerRun(5, func() {
-			if err := e.RecordBatch(batch); err != nil {
+			if err := e.ApplyWire(names, hashes, recs); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -351,7 +289,7 @@ func TestRolloverAllocsFlat(t *testing.T) {
 // reported under it.
 func TestUserIDSurvivesRollovers(t *testing.T) {
 	e, _ := NewEngine(classes3(), 4)
-	if err := e.Record("alice", "web", 1); err != nil {
+	if err := applyReports(e, Report{User: "alice", Class: "web", VolumeMB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	shard, id, ok := e.Lookup("alice")
@@ -359,10 +297,10 @@ func TestUserIDSurvivesRollovers(t *testing.T) {
 		t.Fatal("alice not in the user table")
 	}
 	for p := 0; p < 1000; p++ {
-		if err := e.Record(fmt.Sprintf("other%d", p), "ftp", 1); err != nil {
+		if err := applyReports(e, Report{User: fmt.Sprintf("other%d", p), Class: "ftp", VolumeMB: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Record("alice", "video", 0.5); err != nil {
+		if err := applyReports(e, Report{User: "alice", Class: "video", VolumeMB: 0.5}); err != nil {
 			t.Fatal(err)
 		}
 		cut := e.Rollover()

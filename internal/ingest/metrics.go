@@ -11,8 +11,8 @@ import (
 // predictable nil check per record — no registry lookups, no map
 // access — on the hot path.
 type engineMetrics struct {
-	records  *obs.Counter // reports accepted (single + batch)
-	batches  *obs.Counter // batches accepted
+	records  *obs.Counter // reports accepted
+	batches  *obs.Counter // frames accepted
 	rejected *obs.Counter // reports rejected by validation
 }
 

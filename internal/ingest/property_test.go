@@ -112,10 +112,20 @@ func checkIDs(t *testing.T, eng *Engine, places map[string]place, where string) 
 	}
 }
 
+// cutReports is the number of reports the closed period accepted.
+func cutReports(c *Cut) int64 {
+	var n int64
+	for i := range c.closed {
+		n += c.closed[i].n
+	}
+	return n
+}
+
 // TestShardedMatchesSerialProperty drives random report streams
-// (non-dyadic volumes, mixed Record/RecordBatch/ApplyWire, interleaved
-// rollovers) through the sharded engine at 1, 4, and 16 shards and
-// asserts ClassTotals, UserTotals, and Rollover results equal the
+// (non-dyadic volumes, interleaved rollovers) through ApplyWire at 1, 4,
+// and 16 shards, in frames of every size the engine treats differently:
+// single records, frames no larger than the shard count, and frames
+// larger than it. It asserts ClassTotals and Rollover results equal the
 // quantized serial reference exactly. The running class totals, which
 // each shard keeps as it applies reports, are checked against the
 // reference after every operation. The user pool grows with the
@@ -133,18 +143,11 @@ func TestShardedMatchesSerialProperty(t *testing.T) {
 			}
 			ref := newSerialRef(classes)
 			places := make(map[string]place)
-			seen := func(batch ...Report) {
-				for _, r := range batch {
-					if _, ok := places[r.User]; !ok {
-						s, id, _ := eng.Lookup(r.User)
-						places[r.User] = place{s, id}
-					}
-				}
-			}
 
 			nOps := 50 + rng.Intn(400)
 			for op := 0; op < nOps; op++ {
 				pool := 48 + 8*op
+				var n int
 				switch p := rng.Float64(); {
 				case p < 0.03:
 					cut := eng.Rollover()
@@ -154,31 +157,23 @@ func TestShardedMatchesSerialProperty(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						cut.Release()
 					}
+					continue
 				case p < 0.3:
-					batch := randBatch(rng, pool)
-					if err := eng.RecordBatch(batch); err != nil {
-						t.Fatal(err)
-					}
-					seen(batch...)
-					for _, r := range batch {
-						ref.record(r.User, r.Class, r.VolumeMB)
-					}
+					n = shards + 1 + rng.Intn(32) // larger than the shard count
 				case p < 0.5:
-					batch := randBatch(rng, pool)
-					users, recs := wireForm(batch)
-					if err := eng.ApplyWire(users, nil, recs); err != nil {
-						t.Fatal(err)
-					}
-					seen(batch...)
-					for _, r := range batch {
-						ref.record(r.User, r.Class, r.VolumeMB)
-					}
+					n = 1 + rng.Intn(shards) // at most the shard count
 				default:
-					r := randReport(rng, pool)
-					if err := eng.Record(r.User, r.Class, r.VolumeMB); err != nil {
-						t.Fatal(err)
+					n = 1
+				}
+				batch := randBatch(rng, pool, n)
+				if err := applyReports(eng, batch...); err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range batch {
+					if _, ok := places[r.User]; !ok {
+						s, id, _ := eng.Lookup(r.User)
+						places[r.User] = place{s, id}
 					}
-					seen(r)
 					ref.record(r.User, r.Class, r.VolumeMB)
 				}
 				got, want := eng.ClassTotals(), ref.classTotals()
@@ -190,8 +185,9 @@ func TestShardedMatchesSerialProperty(t *testing.T) {
 					}
 				}
 			}
-			checkTotals(t, shards, trial, "final",
-				eng.ClassTotals(), eng.UserTotals(), ref.classTotals(), ref.userTotals())
+			wantCT, wantUT := ref.rollover()
+			cut := eng.Rollover()
+			checkTotals(t, shards, trial, "final", cut.ClassTotals(), cutUserTotals(cut), wantCT, wantUT)
 			checkIDs(t, eng, places, fmt.Sprintf("shards=%d trial=%d final", shards, trial))
 		}
 	}
@@ -206,19 +202,24 @@ func randReport(rng *rand.Rand, pool int) Report {
 	}
 }
 
-func randBatch(rng *rand.Rand, pool int) []Report {
-	batch := make([]Report, 1+rng.Intn(32))
+// randBatch draws n reports for pool users.
+func randBatch(rng *rand.Rand, pool, n int) []Report {
+	batch := make([]Report, n)
 	for i := range batch {
 		batch[i] = randReport(rng, pool)
 	}
 	return batch
 }
 
-// wireForm is a batch in frame-index form, as a wire decoder yields it.
-func wireForm(batch []Report) ([][]byte, []WireRecord) { return wireFormOf(batch, classes3()) }
-
-func wireFormOf(batch []Report, classes []string) ([][]byte, []WireRecord) {
-	var users [][]byte
+// wireFormOf is a batch in frame-index form, as a wire decoder yields
+// it: the frame's user table in order of first appearance, each user's
+// UserHash, and the records indexing the table and classes. A class
+// not in classes gets index -1, which CheckWire rejects.
+func wireFormOf(batch []Report, classes []string) ([][]byte, []uint32, []WireRecord) {
+	var (
+		users  [][]byte
+		hashes []uint32
+	)
 	idx := make(map[string]int32)
 	recs := make([]WireRecord, len(batch))
 	for i, r := range batch {
@@ -227,11 +228,18 @@ func wireFormOf(batch []Report, classes []string) ([][]byte, []WireRecord) {
 			u = int32(len(users))
 			idx[r.User] = u
 			users = append(users, []byte(r.User))
+			hashes = append(hashes, UserHash(r.User))
 		}
 		c := slices.Index(classes, r.Class)
 		recs[i] = WireRecord{User: u, Class: int32(c), VolumeMB: r.VolumeMB}
 	}
-	return users, recs
+	return users, hashes, recs
+}
+
+// applyReports feeds the reports to e through ApplyWire, as one frame.
+func applyReports(e *Engine, batch ...Report) error {
+	users, hashes, recs := wireFormOf(batch, e.classes)
+	return e.ApplyWire(users, hashes, recs)
 }
 
 func checkTotals(t *testing.T, shards, trial int, where string,
@@ -251,7 +259,7 @@ func checkTotals(t *testing.T, shards, trial int, where string,
 		got, ok := gotUT[u]
 		//lint:allow floateq integer sums converted once: equality is the property under test
 		if !ok || got != v {
-			t.Fatalf("shards=%d trial=%d %s: UserTotals[%s] = %v, want %v",
+			t.Fatalf("shards=%d trial=%d %s: user %s total %v, want %v",
 				shards, trial, where, u, got, v)
 		}
 	}

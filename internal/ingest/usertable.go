@@ -66,7 +66,7 @@ func find[T string | []byte](t *userTable, h uint32, user T) (id int32, slot int
 
 // add stores user, whose key is h, in the empty slot find returned for
 // it, and returns its new id.
-func add[T string | []byte](t *userTable, h uint32, user T, slot int) int32 {
+func add(t *userTable, h uint32, user []byte, slot int) int32 {
 	off := len(t.arena)
 	if uint64(off)+uint64(len(user)) > math.MaxUint32 {
 		// 4 GiB of names on one shard: the process ran out of memory
@@ -113,15 +113,6 @@ func (s *shard) touch(h uint32) uint32 {
 		return 0
 	}
 	return uint32(t.arena[sl.off]) + uint32(s.slot[sl.id])
-}
-
-// name returns id's name as a new string.
-func (t *userTable) name(id int32) string {
-	var start uint32
-	if id > 0 {
-		start = t.ends[id-1]
-	}
-	return string(t.arena[start:t.ends[id]])
 }
 
 // namesOf builds the id-indexed names of a table snapshot: one copy of

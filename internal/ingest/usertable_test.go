@@ -82,22 +82,21 @@ func (t *userTable) longestProbe() int {
 
 // TestUserHashCollisionKeepsUsersApart: two distinct users with equal
 // FNV-1a UserHash share a shard but get distinct ids and distinct
-// counters, on every ingest path.
+// counters.
 func TestUserHashCollisionKeepsUsersApart(t *testing.T) {
 	a, b, _ := fnvCollision(t, fnvBasis, make(map[uint32]int))
 	if a == b || UserHash(a) != UserHash(b) {
 		t.Fatalf("%q and %q: not a distinct colliding pair", a, b)
 	}
 	e, _ := NewEngine(classes3(), 4)
-	if err := e.Record(a, "web", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RecordBatch([]Report{{User: b, Class: "ftp", VolumeMB: 2}, {User: a, Class: "video", VolumeMB: 4}}); err != nil {
-		t.Fatal(err)
-	}
-	users, recs := wireForm([]Report{{User: b, Class: "web", VolumeMB: 8}, {User: a, Class: "web", VolumeMB: 16}})
-	if err := e.ApplyWire(users, nil, recs); err != nil {
-		t.Fatal(err)
+	for _, batch := range [][]Report{
+		{{User: a, Class: "web", VolumeMB: 1}},
+		{{User: b, Class: "ftp", VolumeMB: 2}, {User: a, Class: "video", VolumeMB: 4}},
+		{{User: b, Class: "web", VolumeMB: 8}, {User: a, Class: "web", VolumeMB: 16}},
+	} {
+		if err := applyReports(e, batch...); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sa, ia, okA := e.Lookup(a)
 	sb, ib, okB := e.Lookup(b)
@@ -108,8 +107,8 @@ func TestUserHashCollisionKeepsUsersApart(t *testing.T) {
 		t.Fatalf("Names: id %d → %q, id %d → %q", ia, names[ia], ib, names[ib])
 	}
 	//lint:allow floateq dyadic sums are exact
-	if got := e.UserTotals(); len(got) != 2 || got[a] != 21 || got[b] != 10 {
-		t.Fatalf("UserTotals %v, want %s: 21, %s: 10", got, a, b)
+	if got := cutUserTotals(e.Rollover()); len(got) != 2 || got[a] != 21 || got[b] != 10 {
+		t.Fatalf("user totals %v, want %s: 21, %s: 10", got, a, b)
 	}
 }
 
@@ -132,18 +131,18 @@ func TestTableKeyCollisionComparesNames(t *testing.T) {
 	if a == "" {
 		t.Fatal("no table-key collision in 2^22 names")
 	}
-	if err := e.Record(a, "web", 1); err != nil {
+	if err := applyReports(e, Report{User: a, Class: "web", VolumeMB: 1}); err != nil {
 		t.Fatal(err)
 	}
-	users, recs := wireForm([]Report{{User: b, Class: "ftp", VolumeMB: 2}})
-	if err := e.ApplyWire(users, nil, recs); err != nil {
+	if err := applyReports(e, Report{User: b, Class: "ftp", VolumeMB: 2}); err != nil {
 		t.Fatal(err)
 	}
 	_, ia, _ := e.Lookup(a)
 	_, ib, okB := e.Lookup(b)
+	totals := cutUserTotals(e.Rollover())
 	//lint:allow floateq small integer sums are exact
-	if !okB || ia == ib || e.UserTotals()[a] != 1 || e.UserTotals()[b] != 2 {
-		t.Fatalf("%q and %q share key %#x: ids %d, %d (ok %v), totals %v", a, b, e.key(a), ia, ib, okB, e.UserTotals())
+	if !okB || ia == ib || totals[a] != 1 || totals[b] != 2 {
+		t.Fatalf("%q and %q share key %#x: ids %d, %d (ok %v), totals %v", a, b, e.key(a), ia, ib, okB, totals)
 	}
 }
 
@@ -161,15 +160,10 @@ func TestUserHashFloodBoundedProbes(t *testing.T) {
 		}
 		batch = append(batch, Report{User: name, Class: classes3()[i%3], VolumeMB: float64(i%5 + 1)})
 	}
-	users, recs := wireForm(batch[:len(batch)/2])
-	if err := e.ApplyWire(users, nil, recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RecordBatch(batch[len(batch)/2:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Record(names[0], "web", 1); err != nil {
-		t.Fatal(err)
+	for _, frame := range [][]Report{batch[:len(batch)/2], batch[len(batch)/2:], {{User: names[0], Class: "web", VolumeMB: 1}}} {
+		if err := applyReports(e, frame...); err != nil {
+			t.Fatal(err)
+		}
 	}
 	shard := e.shardIdxFor(names[0])
 	seen := make(map[int32]bool)
@@ -180,7 +174,7 @@ func TestUserHashFloodBoundedProbes(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	totals := e.UserTotals()
+	totals := cutUserTotals(e.Rollover())
 	for i, name := range names {
 		want := float64(i%5 + 1)
 		if i == 0 {
@@ -207,7 +201,7 @@ func TestLookupAllocs(t *testing.T) {
 		t.Skip("the race runtime allocates during AllocsPerRun; the pin runs in the non-race pass")
 	}
 	e, _ := NewEngine(classes3(), 4)
-	if err := e.Record("alice", "web", 1); err != nil {
+	if err := applyReports(e, Report{User: "alice", Class: "web", VolumeMB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -229,7 +223,7 @@ func TestUserTableGrowth(t *testing.T) {
 	e, _ := NewEngine(classes3(), 1)
 	const n = 20000
 	for i := 0; i < n; i++ {
-		if err := e.Record(fmt.Sprintf("grow%d", i), "web", 1); err != nil {
+		if err := applyReports(e, Report{User: fmt.Sprintf("grow%d", i), Class: "web", VolumeMB: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,9 +6,9 @@
 // volumes — and folds volumes into the shard counters directly:
 //
 //   - class validation is a bounds check, not a map lookup;
-//   - the placement hash (taken from the hashes argument or computed)
-//     and the seeded user-table key are computed once per DISTINCT user
-//     in the frame, not once per record, before any lock is taken;
+//   - the placement hash comes with the frame (the decoder computes it
+//     once per DISTINCT user), and the seeded user-table key is computed
+//     once per distinct user too, before any lock is taken;
 //   - under each shard's lock, a first pass touches every user's table
 //     slot so their cache misses overlap, and a second resolves each
 //     distinct user once per frame, storing a name only the first time
@@ -18,8 +18,8 @@
 //     and a warm apply allocates nothing.
 //
 // Counters are integers, so the fold order does not matter: the result
-// equals RecordBatch fed the decoded equivalent, pinned by the property
-// tests in internal/wire.
+// equals a plain per-user sum of the frame's volumes in metering units,
+// pinned by the property tests here and in internal/wire.
 package ingest
 
 import (
@@ -83,16 +83,15 @@ func growI32(s []int32, n int) []int32 {
 // Validation (CheckWire) is all-or-nothing: on any invalid record
 // NOTHING is applied. ApplyWire keeps no reference to users.
 //
-// hashes, when non-nil, must be the UserHash of each table entry
-// (hashes[i] == UserHash(users[i])), as the wire decoder returns them.
-// Passing a wrong hash would land a user on the wrong shard, where the
-// user would get a second id — only pass values obtained from UserHash.
-// nil recomputes them.
+// hashes must be the UserHash of each table entry (hashes[i] ==
+// UserHash(users[i])), as the wire decoder returns them. Passing a wrong
+// hash would land a user on the wrong shard, where the user would get a
+// second id — only pass values obtained from UserHash.
 func (e *Engine) ApplyWire(users [][]byte, hashes []uint32, recs []WireRecord) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	if hashes != nil && len(hashes) != len(users) {
+	if len(hashes) != len(users) {
 		return fmt.Errorf("user table %d entries, %d hashes: %w", len(users), len(hashes), ErrBadReport)
 	}
 	// All-or-nothing validation before any shard is touched: a retried
@@ -101,18 +100,12 @@ func (e *Engine) ApplyWire(users [][]byte, hashes []uint32, recs []WireRecord) e
 		return err
 	}
 	ws := e.wireWS()
-	// Two hashes per distinct user, outside any lock: the placement
-	// hash picks the shard, the seeded key the user-table slot. A frame's
-	// user table lists each of its users once.
+	// Per distinct user, outside any lock: the placement hash picks the
+	// shard, the seeded key the user-table slot. A frame's user table
+	// lists each of its users once.
 	shardOf, at := growI32(ws.shard, len(users)), growI32(ws.at, len(users))
 	key := ws.key[:0]
-	for u := range users {
-		var h uint32
-		if hashes != nil {
-			h = hashes[u]
-		} else {
-			h = UserHash(users[u])
-		}
+	for u, h := range hashes {
 		shardOf[u], at[u] = int32(h&e.mask), -1
 		key = append(key, e.keyBytes(users[u]))
 	}
@@ -166,11 +159,11 @@ func (e *Engine) ApplyWire(users [][]byte, hashes []uint32, recs []WireRecord) e
 }
 
 // CheckWire validates a frame's records against its user table and this
-// engine's classes, with the same volume rule as Record: every user
-// index in range and naming a non-empty user, every class index in
-// range, every volume in [0, MaxReportMB]. A frame that fails counts
-// all its records as rejected. The serving layer calls it on every
-// frame of a request body before it applies any of them.
+// engine's classes: every user index in range and naming a non-empty
+// user, every class index in range, every volume in [0, MaxReportMB].
+// A frame that fails counts all its records as rejected. The serving
+// layer calls it on every frame of a request body before it applies any
+// of them.
 func (e *Engine) CheckWire(users [][]byte, recs []WireRecord) error {
 	err := e.checkWire(users, recs)
 	if err != nil {

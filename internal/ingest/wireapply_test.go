@@ -26,69 +26,55 @@ func TestApplyWireAllOrNothing(t *testing.T) {
 	for name, recs := range cases {
 		t.Run(name, func(t *testing.T) {
 			e := wireEngine(t, 4)
-			if err := e.ApplyWire(users, nil, recs); !errors.Is(err, ErrBadReport) {
+			if err := e.ApplyWire(users, hashesOf(users), recs); !errors.Is(err, ErrBadReport) {
 				t.Fatalf("ApplyWire: %v, want ErrBadReport", err)
 			}
 			// All-or-nothing: the valid prefix must not have been applied.
-			if got := e.Accepted(); got != 0 {
-				t.Fatalf("invalid frame applied %d records", got)
-			}
 			for _, v := range e.ClassTotals() {
 				//lint:allow floateq untouched counters are exactly zero
 				if v != 0 {
 					t.Fatalf("invalid frame left totals %v", e.ClassTotals())
 				}
 			}
+			if got := cutReports(e.Rollover()); got != 0 {
+				t.Fatalf("invalid frame applied %d records", got)
+			}
 		})
 	}
 }
 
+// hashesOf is the UserHash of each user, as the wire decoder returns
+// them beside a frame's user table.
+func hashesOf(users [][]byte) []uint32 {
+	hashes := make([]uint32, len(users))
+	for i, u := range users {
+		hashes[i] = UserHash(u)
+	}
+	return hashes
+}
+
 func TestApplyWireEmptyUserRejected(t *testing.T) {
 	e := wireEngine(t, 4)
-	err := e.ApplyWire([][]byte{{}}, nil, []WireRecord{{User: 0, Class: 0, VolumeMB: 1}})
+	err := e.ApplyWire([][]byte{{}}, []uint32{UserHash("")}, []WireRecord{{User: 0, Class: 0, VolumeMB: 1}})
 	if !errors.Is(err, ErrBadReport) {
 		t.Fatalf("empty user: %v, want ErrBadReport", err)
 	}
 }
 
+// TestApplyWireHashLengthMismatch: a frame must come with one hash per
+// user; a short or missing hash table is rejected, not recomputed.
 func TestApplyWireHashLengthMismatch(t *testing.T) {
 	e := wireEngine(t, 4)
-	err := e.ApplyWire([][]byte{[]byte("alice"), []byte("bob")}, []uint32{UserHash("alice")},
-		[]WireRecord{{User: 0, Class: 0, VolumeMB: 1}})
-	if !errors.Is(err, ErrBadReport) {
+	users := [][]byte{[]byte("alice"), []byte("bob")}
+	recs := []WireRecord{{User: 0, Class: 0, VolumeMB: 1}}
+	if err := e.ApplyWire(users, []uint32{UserHash("alice")}, recs); !errors.Is(err, ErrBadReport) {
 		t.Fatalf("short hash table: %v, want ErrBadReport", err)
 	}
-}
-
-// TestApplyWireHashedAndUnhashedAgree: passing the cached hashes must
-// be a pure optimization — identical placement and totals.
-func TestApplyWireHashedAndUnhashedAgree(t *testing.T) {
-	users := [][]byte{[]byte("alice"), []byte("bob"), []byte("carol"), []byte("dave")}
-	hashes := make([]uint32, len(users))
-	for i, u := range users {
-		hashes[i] = UserHash(u)
+	if err := e.ApplyWire(users, nil, recs); !errors.Is(err, ErrBadReport) {
+		t.Fatalf("no hash table: %v, want ErrBadReport", err)
 	}
-	recs := []WireRecord{
-		{User: 0, Class: 0, VolumeMB: 1.25}, {User: 1, Class: 1, VolumeMB: 2},
-		{User: 2, Class: 0, VolumeMB: 0.5}, {User: 0, Class: 1, VolumeMB: 3},
-		{User: 3, Class: 0, VolumeMB: 7}, {User: 2, Class: 1, VolumeMB: 0.125},
-	}
-	withH, withoutH := wireEngine(t, 8), wireEngine(t, 8)
-	if err := withH.ApplyWire(users, hashes, recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := withoutH.ApplyWire(users, nil, recs); err != nil {
-		t.Fatal(err)
-	}
-	a, b := withH.UserTotals(), withoutH.UserTotals()
-	if len(a) != len(b) {
-		t.Fatalf("hashed path accounted %d users, unhashed %d", len(a), len(b))
-	}
-	for u, want := range b {
-		//lint:allow floateq identical operations must produce identical bits
-		if a[u] != want {
-			t.Fatalf("user %s: hashed %v, unhashed %v", u, a[u], want)
-		}
+	if got := cutReports(e.Rollover()); got != 0 {
+		t.Fatalf("rejected frames applied %d records", got)
 	}
 }
 
@@ -99,8 +85,8 @@ func TestApplyWireEmptyFrame(t *testing.T) {
 	if err := e.ApplyWire(nil, nil, nil); err != nil {
 		t.Fatalf("empty frame: %v", err)
 	}
-	if e.Accepted() != 0 {
-		t.Fatalf("empty frame accounted %d records", e.Accepted())
+	if n := cutReports(e.Rollover()); n != 0 {
+		t.Fatalf("empty frame accounted %d records", n)
 	}
 }
 
@@ -117,9 +103,9 @@ func TestApplyWireWarmAllocs(t *testing.T) {
 	for i := range batch {
 		batch[i] = Report{User: fmt.Sprintf("u%03d", i%64), Class: []string{"web", "ftp"}[i%2], VolumeMB: 0.3}
 	}
-	users, recs := wireFormOf(batch, []string{"web", "ftp"})
+	users, hashes, recs := wireFormOf(batch, []string{"web", "ftp"})
 	apply := func() {
-		if err := e.ApplyWire(users, nil, recs); err != nil {
+		if err := e.ApplyWire(users, hashes, recs); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -32,7 +32,7 @@ func newTestBilling(t *testing.T, basePrice float64) (*Billing, *ingest.Engine) 
 func usageCut(t *testing.T, eng *ingest.Engine, usage map[string]float64) *ingest.Cut {
 	t.Helper()
 	for user, mb := range usage {
-		if err := eng.Record(user, testClasses()[0], mb); err != nil {
+		if err := meter(eng, ingest.Report{User: user, Class: testClasses()[0], VolumeMB: mb}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestBillingPriceFloor(t *testing.T) {
 // engine rejects it, and its counters are unsigned.
 func TestBillingErrors(t *testing.T) {
 	b, eng := newTestBilling(t, 1)
-	if err := eng.Record("u", testClasses()[0], -1); !errors.Is(err, ingest.ErrBadReport) {
+	if err := meter(eng, ingest.Report{User: "u", Class: testClasses()[0], VolumeMB: -1}); !errors.Is(err, ingest.ErrBadReport) {
 		t.Errorf("negative usage: err = %v, want ingest.ErrBadReport", err)
 	}
 	if err := b.AddPeriod(usageCut(t, eng, map[string]float64{"u": 1}), -0.1); !errors.Is(err, ErrBadInput) {
@@ -206,7 +206,7 @@ func TestOptimizerBillingIntegration(t *testing.T) {
 		t.Fatalf("NewOptimizer: %v", err)
 	}
 	reward := opt.CurrentReward()
-	if err := opt.Measurement().Record("user9", "video", 100); err != nil {
+	if err := meter(opt.Measurement(), UsageReport{User: "user9", Class: "video", VolumeMB: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := opt.ClosePeriod(); err != nil {

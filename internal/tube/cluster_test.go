@@ -112,25 +112,22 @@ func TestClusterWireIngestExactlyOnce(t *testing.T) {
 		}
 	}
 
-	ref, err := ingest.NewEngine(testClasses(), 1)
-	if err != nil {
-		t.Fatal(err)
+	// Every volume is dyadic, so a plain sum is what one node accounts.
+	refClass := make([]float64, len(testClasses()))
+	for _, r := range reps {
+		refClass[slices.Index(testClasses(), r.Class)] += r.VolumeMB
 	}
-	if err := ref.RecordBatch(append([]ingest.Report(nil), reps...)); err != nil {
-		t.Fatal(err)
-	}
-	refClass := ref.ClassTotals()
 	sum := make([]float64, len(refClass))
 	var accepted int64
 	for _, nd := range nodes {
-		eng := nd.opt.Measurement()
-		for j, v := range eng.ClassTotals() {
+		for j, v := range nd.opt.Measurement().ClassTotals() {
 			sum[j] += v
 		}
-		accepted += eng.Accepted()
-		if eng.Accepted() == 0 {
+		n := nd.srv.wireReports.Value()
+		if n == 0 {
 			t.Fatalf("node %s accounted nothing", nd.id)
 		}
+		accepted += n
 	}
 	if accepted != int64(len(reps)) {
 		t.Fatalf("cluster accounted %d reports, sent %d", accepted, len(reps))
@@ -174,7 +171,7 @@ func TestClusterRingUpdateAndMisrouteRejection(t *testing.T) {
 		ack.Accepted != 0 || len(ack.Rejected) != 1 || ack.Rejected[0] != 0 || ack.RingVersion != 1 {
 		t.Fatalf("misrouted wire: status %d, ack %+v", code, ack)
 	}
-	if n := n0.opt.Measurement().Accepted(); n != 0 {
+	if n := n0.srv.wireReports.Value(); n != 0 {
 		t.Fatalf("misrouted report accounted: %d", n)
 	}
 
@@ -209,7 +206,7 @@ func TestClusterRingUpdateAndMisrouteRejection(t *testing.T) {
 		ack.Accepted != 1 || len(ack.Rejected) != 0 || ack.RingVersion != 2 {
 		t.Fatalf("after takeover: status %d, ack %+v", code, ack)
 	}
-	if n := n0.opt.Measurement().Accepted(); n != 1 {
+	if n := n0.srv.wireReports.Value(); n != 1 {
 		t.Fatalf("after takeover: %d reports accounted, want 1", n)
 	}
 }
@@ -350,8 +347,8 @@ func TestBodyLimits(t *testing.T) {
 	if got := srv.RequestCounts()["usage_wire_rejected"]; got != 2 {
 		t.Fatalf("400 bumped the 413 counter to %d", got)
 	}
-	if n := opt.Measurement().Accepted(); n != 0 {
-		t.Fatalf("rejected bodies accounted %d reports", n)
+	if got := opt.Measurement().ClassTotals(); !slices.Equal(got, make([]float64, len(got))) {
+		t.Fatalf("rejected bodies left class totals %v", got)
 	}
 }
 
@@ -416,8 +413,8 @@ func TestWireAckMeansApplied(t *testing.T) {
 	if want := int64(posters * frames * 2); accepted.Load() != want {
 		t.Fatalf("acks accepted %d reports, sent %d", accepted.Load(), want)
 	}
-	if got := opt.Measurement().Accepted(); got != accepted.Load() {
-		t.Fatalf("engine holds %d reports once the acks are back, acks accepted %d", got, accepted.Load())
+	if got := srv.wireReports.Value(); got != accepted.Load() {
+		t.Fatalf("node applied %d reports once the acks are back, acks accepted %d", got, accepted.Load())
 	}
 	if got, want := opt.Measurement().ClassTotals(), []float64{posters * frames, 0, 2 * posters * frames}; !slices.Equal(got, want) {
 		t.Fatalf("class totals %v, want %v", got, want)
@@ -472,7 +469,7 @@ func TestOneNodeRingAcksEveryUser(t *testing.T) {
 	if code != http.StatusOK || ack.Accepted != len(reps) || len(ack.Rejected) != 0 || ack.RingVersion != 0 {
 		t.Fatalf("status %d, ack %+v; want all %d accepted at ring version 0", code, ack, len(reps))
 	}
-	if n := opt.Measurement().Accepted(); n != int64(len(reps)) {
+	if n := srv.wireReports.Value(); n != int64(len(reps)) {
 		t.Fatalf("engine accounted %d, sent %d", n, len(reps))
 	}
 	if srv.Ring() != nil {
@@ -540,15 +537,15 @@ func TestClusterWireRejectsBadVolumes(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("corrupt second frame: status %d, want 400", resp.StatusCode)
 	}
-	if n := nd.opt.Measurement().Accepted(); n != 0 {
-		t.Errorf("rejected bodies left %d reports accounted, want 0", n)
+	if got := nd.opt.Measurement().ClassTotals(); !slices.Equal(got, make([]float64, len(got))) {
+		t.Errorf("rejected bodies left class totals %v, want none", got)
 	}
 	// The same node still acks and applies a valid frame.
 	stats, err := rt.Send(context.Background(), []ingest.Report{good})
 	if err != nil || stats.Reports != 1 {
 		t.Fatalf("valid frame: stats %+v, err %v", stats, err)
 	}
-	if n := nd.opt.Measurement().Accepted(); n != 1 {
+	if n := nd.srv.wireReports.Value(); n != 1 {
 		t.Errorf("valid frame: %d reports accounted, want 1", n)
 	}
 }
@@ -617,7 +614,7 @@ func TestGUIWireRoundTrip(t *testing.T) {
 	if err := g.ReportUsageWire(ctx, reps); err != nil {
 		t.Fatal(err)
 	}
-	if got := opt.Measurement().Accepted(); got != int64(len(reps)) {
+	if got := srv.wireReports.Value(); got != int64(len(reps)) {
 		t.Fatalf("engine accounted %d, sent %d", got, len(reps))
 	}
 }
@@ -767,8 +764,8 @@ func TestGUIPartialAckResend(t *testing.T) {
 	seen := make(map[string]int)
 	var accepted int64
 	for _, nd := range nodes {
-		accepted += nd.opt.Measurement().Accepted()
-		for user := range nd.opt.Measurement().UserTotals() {
+		accepted += nd.srv.wireReports.Value()
+		for user := range periodUsers(nd.opt.Measurement()) {
 			seen[user]++
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -48,8 +49,8 @@ func TestUsageBatchEndpoint(t *testing.T) {
 	if err := gui.ReportUsageWire(ctx, bad); !errors.Is(err, ErrRemote) {
 		t.Fatalf("bad batch: err = %v, want ErrRemote", err)
 	}
-	if ut := opt.Measurement().UserTotals(); ut["user3"] != 0 {
-		t.Errorf("rejected batch left residue: %v", ut)
+	if got := opt.Measurement().ClassTotals(); !slices.Equal(got, ct) {
+		t.Errorf("rejected batch left residue: class totals %v, were %v", got, ct)
 	}
 
 	// A body that is not a wire frame → 400.

@@ -7,6 +7,7 @@ import (
 
 	"tdp/internal/core"
 	"tdp/internal/mechanism"
+	"tdp/internal/obs"
 )
 
 // mustPricer builds a zoo mechanism for tests.
@@ -52,8 +53,8 @@ func TestOptimizerWithMechanism(t *testing.T) {
 	// day boundary (re-planned by the mechanism, not the online engine).
 	for day := 0; day < 2; day++ {
 		for p := 0; p < scn.Periods; p++ {
-			if err := opt.Measurement().Record(fmt.Sprintf("u%d", p%3), "web", 5); err != nil {
-				t.Fatalf("Record: %v", err)
+			if err := meter(opt.Measurement(), UsageReport{User: fmt.Sprintf("u%d", p%3), Class: "web", VolumeMB: 5}); err != nil {
+				t.Fatalf("meter: %v", err)
 			}
 			if _, err := opt.ClosePeriod(); err != nil {
 				t.Fatalf("ClosePeriod day %d period %d: %v", day, p, err)
@@ -62,6 +63,11 @@ func TestOptimizerWithMechanism(t *testing.T) {
 	}
 	if got := opt.Period(); got != 2*scn.Periods {
 		t.Fatalf("period = %d, want %d", got, 2*scn.Periods)
+	}
+	// The day plans counted on one handle, resolved at the first plan:
+	// the series /metrics shows.
+	if plans := obs.Default().Counter("optimizer_mechanism_plans_total", "", obs.Labels{"mechanism": opt.cfg.Pricer.Name()}); opt.plans != plans || plans.Value() < 2 {
+		t.Fatalf("plan counter handle %p, registry series %p at %d plans", opt.plans, plans, plans.Value())
 	}
 	sched2 := opt.Schedule()
 	if len(sched2) != scn.Periods {
@@ -107,8 +113,8 @@ func TestOptimizerMechanismObservationShiftsPlan(t *testing.T) {
 		if p < scn.Periods/2 {
 			vol = 30
 		}
-		if err := opt.Measurement().Record("u1", "video", vol); err != nil {
-			t.Fatalf("Record: %v", err)
+		if err := meter(opt.Measurement(), UsageReport{User: "u1", Class: "video", VolumeMB: vol}); err != nil {
+			t.Fatalf("meter: %v", err)
 		}
 		if _, err := opt.ClosePeriod(); err != nil {
 			t.Fatalf("ClosePeriod: %v", err)

@@ -6,6 +6,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"tdp/internal/core"
+	"tdp/internal/obs"
 )
 
 // TestMetricsEndpoint drives the server through every handler and then
@@ -150,5 +153,49 @@ func TestRunDayTrace(t *testing.T) {
 	}
 	if !reports[1].Reestimated {
 		t.Fatal("day 2 did not re-estimate (MinObservations default changed?)")
+	}
+}
+
+// TestPeriodSolveMetricsResolvedOnce: a close's solve metrics are
+// handles resolved on the first solve of each start mode, the very
+// series /metrics shows, so recording a solve counts it without a
+// registry lookup and without allocating.
+func TestPeriodSolveMetricsResolvedOnce(t *testing.T) {
+	opt, err := NewOptimizer(OptimizerConfig{Scenario: testScenario(), Classes: testClasses()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := core.PeriodSolve{Warm: true, Evals: 1}
+	record := func() {
+		opt.mu.Lock()
+		opt.recordPeriodSolve(warm)
+		opt.mu.Unlock()
+	}
+	record()
+	m := opt.solveMet[1]
+	reg := obs.Default()
+	if m.solves != reg.Counter("online_period_solves_total", "", obs.Labels{"start": "warm"}) ||
+		m.evals != reg.Histogram("online_period_solve_evals", "", obs.Labels{"start": "warm"}, periodEvalBuckets) {
+		t.Fatal("warm solve handles are not the registry's series")
+	}
+	if opt.evalsSaved == nil || opt.evalsSaved != reg.Counter("online_period_evals_saved_total", "", nil) {
+		t.Fatal("evals-saved handle is not the registry's series")
+	}
+	solves, saved := m.solves.Value(), opt.evalsSaved.Value()
+	const n = 100
+	for range n {
+		record()
+	}
+	if got := m.solves.Value() - solves; got != n {
+		t.Fatalf("%d solves recorded, counter moved by %d", n, got)
+	}
+	if got, want := opt.evalsSaved.Value()-saved, int64(n*(opt.coldPeriodEvals-warm.Evals)); got != want {
+		t.Fatalf("evals saved moved by %d, want %d", got, want)
+	}
+	if raceEnabled {
+		return // the race runtime allocates during AllocsPerRun
+	}
+	if allocs := testing.AllocsPerRun(n, record); allocs != 0 {
+		t.Fatalf("recording a warm solve allocates %.1f times, want 0", allocs)
 	}
 }

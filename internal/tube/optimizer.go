@@ -77,6 +77,19 @@ type Optimizer struct {
 	// construction: the 1-D evaluation count of a full-bracket per-period
 	// solve on this scenario, the baseline for the evals-saved metric.
 	coldPeriodEvals int
+
+	// The close's handles in obs.Default(), each resolved on its first
+	// use, so a close does no registry lookup and /metrics lists only
+	// series that have counted something. Guarded by mu.
+	solveMet   [2]solveMetrics // by start mode: cold, warm
+	evalsSaved *obs.Counter
+	plans      *obs.Counter
+}
+
+// solveMetrics is one start mode's per-period solve metrics.
+type solveMetrics struct {
+	solves *obs.Counter
+	evals  *obs.Histogram
 }
 
 // NewOptimizer validates the configuration, computes the initial reward
@@ -303,29 +316,38 @@ func (o *Optimizer) replanMechanism() ([]float64, error) {
 	if err != nil {
 		return nil, badInput(err)
 	}
-	obs.Default().Counter("optimizer_mechanism_plans_total",
-		"mechanism day plans published, by mechanism",
-		obs.Labels{"mechanism": o.cfg.Pricer.Name()}).Inc()
+	if o.plans == nil {
+		o.plans = obs.Default().Counter("optimizer_mechanism_plans_total",
+			"mechanism day plans published, by mechanism",
+			obs.Labels{"mechanism": o.cfg.Pricer.Name()})
+	}
+	o.plans.Inc()
 	return rewards, nil
 }
 
 // recordPeriodSolve publishes one online re-optimization to the default
-// registry, keyed by whether the warm bracket sufficed.
+// registry, keyed by whether the warm bracket sufficed. Callers must
+// hold o.mu.
 func (o *Optimizer) recordPeriodSolve(ps core.PeriodSolve) {
-	start := "cold"
+	m, start := &o.solveMet[0], "cold"
 	if ps.Warm {
-		start = "warm"
+		m, start = &o.solveMet[1], "warm"
 	}
-	reg := obs.Default()
-	lbl := obs.Labels{"start": start}
-	reg.Counter("online_period_solves_total", "per-period re-optimizations, by start mode", lbl).Inc()
-	reg.Histogram("online_period_solve_evals", "1-D cost evaluations per period re-optimization",
-		lbl, periodEvalBuckets).Observe(float64(ps.Evals))
+	if m.solves == nil {
+		reg, lbl := obs.Default(), obs.Labels{"start": start}
+		m.solves = reg.Counter("online_period_solves_total", "per-period re-optimizations, by start mode", lbl)
+		m.evals = reg.Histogram("online_period_solve_evals", "1-D cost evaluations per period re-optimization",
+			lbl, periodEvalBuckets)
+	}
+	m.solves.Inc()
+	m.evals.Observe(float64(ps.Evals))
 	if ps.Warm {
 		if saved := o.coldPeriodEvals - ps.Evals; saved > 0 {
-			reg.Counter("online_period_evals_saved_total",
-				"1-D cost evaluations avoided by warm-started period solves, vs the startup cold calibration", nil).
-				Add(int64(saved))
+			if o.evalsSaved == nil {
+				o.evalsSaved = obs.Default().Counter("online_period_evals_saved_total",
+					"1-D cost evaluations avoided by warm-started period solves, vs the startup cold calibration", nil)
+			}
+			o.evalsSaved.Add(int64(saved))
 		}
 	}
 }

@@ -87,7 +87,7 @@ func TestPriceNeverTorn(t *testing.T) {
 		}()
 	}
 	for i := 0; i < closes; i++ {
-		if err := opt.Measurement().Record("u1", "video", float64(1+i%5)); err != nil {
+		if err := meter(opt.Measurement(), UsageReport{User: "u1", Class: "video", VolumeMB: float64(1 + i%5)}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := opt.ClosePeriod(); err != nil {

@@ -198,8 +198,8 @@ func TestOptimizerStreaming(t *testing.T) {
 		usage := truth(sched)
 		for i := 0; i < scn.Periods; i++ {
 			for j, class := range testClasses() {
-				if err := o.Measurement().Record(fmt.Sprintf("u%d", j), class, usage[i][j]); err != nil {
-					t.Fatalf("Record: %v", err)
+				if err := meter(o.Measurement(), UsageReport{User: fmt.Sprintf("u%d", j), Class: class, VolumeMB: usage[i][j]}); err != nil {
+					t.Fatalf("meter: %v", err)
 				}
 			}
 			if _, err := o.ClosePeriod(); err != nil {
@@ -253,7 +253,7 @@ func TestOptimizerConcurrentCut(t *testing.T) {
 				default:
 				}
 				u := fmt.Sprintf("u%d-%d", g, i%13)
-				if err := o.Measurement().Record(u, classes[i%3], 1); err != nil {
+				if err := meter(o.Measurement(), UsageReport{User: u, Class: classes[i%3], VolumeMB: 1}); err != nil {
 					t.Error(err)
 					return
 				}

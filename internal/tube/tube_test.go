@@ -38,6 +38,41 @@ func testScenario() *core.Scenario {
 
 func testClasses() []string { return []string{"web", "ftp", "video"} }
 
+// meter applies reps to eng as one wire frame, decoded with
+// DecodeRecords and applied with ApplyWire: the path every report takes
+// through POST /usage/wire.
+func meter(eng *ingest.Engine, reps ...ingest.Report) error {
+	tab, err := wire.NewClassTable(eng.Classes())
+	if err != nil {
+		return err
+	}
+	frame, err := wire.NewEncoder(tab).Encode(reps)
+	if err != nil {
+		return err
+	}
+	users, hashes, recs, _, err := wire.NewDecoder(tab).DecodeRecords(frame)
+	if err != nil {
+		return err
+	}
+	return eng.ApplyWire(users, hashes, recs)
+}
+
+// periodUsers closes eng's period and returns the users it metered,
+// with their volumes.
+func periodUsers(eng *ingest.Engine) map[string]float64 {
+	cut := eng.Rollover()
+	defer cut.Release()
+	out := make(map[string]float64)
+	names := make(map[int][]string)
+	cut.EachUser(func(shard int, id int32, mb float64) {
+		if names[shard] == nil {
+			names[shard] = eng.Names(shard)
+		}
+		out[names[shard][id]] = mb
+	})
+	return out
+}
+
 // wireGUI returns a GUI for baseURL with the wire encoder over the test
 // classes enabled.
 func wireGUI(t *testing.T, baseURL string) *GUI {
@@ -152,8 +187,8 @@ func TestOptimizerLifecycle(t *testing.T) {
 	// Record traffic matching the estimate and close the period.
 	meas := opt.Measurement()
 	for i, c := range testClasses() {
-		if err := meas.Record("user1", c, testScenario().Demand[0][i]); err != nil {
-			t.Fatalf("Record: %v", err)
+		if err := meter(meas, ingest.Report{User: "user1", Class: c, VolumeMB: testScenario().Demand[0][i]}); err != nil {
+			t.Fatalf("meter: %v", err)
 		}
 	}
 	observed, err := opt.ClosePeriod()

@@ -64,8 +64,9 @@ func BenchmarkWireEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkWireDecode parses a frame back into reports vs
-// encoding/json Unmarshal of the same batch.
+// BenchmarkWireDecode parses a frame with DecodeRecords, the one
+// production decoder (records in frame-index form, no []Report), vs
+// encoding/json Unmarshal of the same batch into reports.
 func BenchmarkWireDecode(b *testing.B) {
 	tab, err := NewClassTable(testClasses)
 	if err != nil {
@@ -79,15 +80,14 @@ func BenchmarkWireDecode(b *testing.B) {
 				b.Fatal(err)
 			}
 			dec := NewDecoder(tab)
-			dst := make([]ingest.Report, 0, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, _, err := dec.Decode(frame, dst[:0])
+				_, _, recs, _, err := dec.DecodeRecords(frame)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(out) != n {
+				if len(recs) != n {
 					b.Fatal("short decode")
 				}
 			}
@@ -115,8 +115,8 @@ func BenchmarkWireDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkWireRoundTrip is the full codec path both directions — the
-// number the ≥2× wire-vs-JSON acceptance criterion reads.
+// BenchmarkWireRoundTrip is the full codec path both directions, Encode
+// then DecodeRecords, against a JSON round trip of the same batch.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	tab, err := NewClassTable(testClasses)
 	if err != nil {
@@ -127,7 +127,6 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	b.Run("wire", func(b *testing.B) {
 		enc := NewEncoder(tab)
 		dec := NewDecoder(tab)
-		dst := make([]ingest.Report, 0, n)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -135,11 +134,11 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			out, _, err := dec.Decode(frame, dst[:0])
+			_, _, recs, _, err := dec.DecodeRecords(frame)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(out) != n {
+			if len(recs) != n {
 				b.Fatal("short decode")
 			}
 		}
@@ -166,14 +165,12 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	})
 }
 
-// BenchmarkApplyWire is the tentpole comparison: the zero-copy path
-// (DecodeRecords → Engine.ApplyWire, no []Report materialized) against
-// the classic twin (Decode → RecordBatch) on the same frame and
-// shard count. The acceptance bar is ≥2× at batch=256 with 0 allocs/op
-// on the warm zero-copy path. Re-applying one frame keeps its users'
-// table entries in cache; the users=1M case cycles through frames
-// over a million distinct users, already in the table, so every
-// lookup goes to memory as it does on a node serving that many.
+// BenchmarkApplyWire times the node's ingest path, DecodeRecords →
+// Engine.ApplyWire, with 0 allocs/op when warm. Re-applying one frame
+// keeps its users' table entries in cache; the users=1M case cycles
+// through frames over a million distinct users, already in the table,
+// so every lookup goes to memory as it does on a node serving that
+// many.
 func BenchmarkApplyWire(b *testing.B) {
 	tab, err := NewClassTable(testClasses)
 	if err != nil {
@@ -200,26 +197,6 @@ func BenchmarkApplyWire(b *testing.B) {
 					b.Fatal(err)
 				}
 				if err := eng.ApplyWire(users, hashes, recs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N*n)/b.Elapsed().Seconds(), "reports/s")
-		})
-		b.Run(fmt.Sprintf("decode/batch=%d", n), func(b *testing.B) {
-			eng, err := ingest.NewEngine(testClasses, shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dec := NewDecoder(tab)
-			dst := make([]ingest.Report, 0, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				reps, _, err := dec.Decode(frame, dst[:0])
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := eng.RecordBatch(reps); err != nil {
 					b.Fatal(err)
 				}
 			}

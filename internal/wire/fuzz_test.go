@@ -49,7 +49,7 @@ func FuzzDecode(f *testing.F) {
 // FuzzDecode properties.
 func checkDecoders(t *testing.T, tab *ClassTable, data []byte) {
 	t.Helper()
-	got, consumed, err := NewDecoder(tab).Decode(data, nil)
+	got, consumed, err := newRefDecoder(tab).Decode(data, nil)
 	users, _, recs, zcConsumed, zcErr := NewDecoder(tab).DecodeRecords(data)
 	if (err == nil) != (zcErr == nil) {
 		t.Fatalf("Decode error %v, DecodeRecords error %v", err, zcErr)
@@ -79,7 +79,7 @@ func checkDecoders(t *testing.T, tab *ClassTable, data []byte) {
 	if err != nil {
 		t.Fatalf("re-encode of accepted batch failed: %v", err)
 	}
-	again, _, err := NewDecoder(tab).Decode(frame, nil)
+	again, _, err := newRefDecoder(tab).Decode(frame, nil)
 	if err != nil {
 		t.Fatalf("re-decode failed: %v", err)
 	}
@@ -114,7 +114,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		got, consumed, err := NewDecoder(tab).Decode(frame, nil)
+		got, consumed, err := newRefDecoder(tab).Decode(frame, nil)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}

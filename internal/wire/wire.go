@@ -16,9 +16,8 @@
 //
 //	classHash uint32 LE        FNV-1a over the class names (table check)
 //	C         uvarint          class count, must match the table
-//	counts    C × uvarint      reports per class (header summary: lets a
-//	                           receiver account a frame per class
-//	                           without decoding the records)
+//	counts    C × uvarint      reports per class; decoders check only
+//	                           that they sum to N, not each class
 //	U         uvarint          user-table size
 //	users     U × (uvarint len, bytes)   in order of first appearance
 //	N         uvarint          record count (== Σ counts)
@@ -39,8 +38,8 @@
 // indexes it resolves once per frame, and DecodeRecords returns the
 // frame's users as views into the frame itself, so the one copy of a
 // user's name a node keeps is the one in its ingest engine's user
-// table. Decode, the reference twin that materializes reports,
-// allocates one string per frame for the whole user table.
+// table. DecodeRecords is the one decoder: it hands a frame to
+// ingest.Engine.ApplyWire without materializing []ingest.Report.
 package wire
 
 import (
@@ -282,56 +281,20 @@ func (e *Encoder) appendPayloadV1(dst []byte, reports []ingest.Report) ([]byte, 
 	return dst, nil
 }
 
-// Decoder turns frames back into report batches. Not safe for
-// concurrent use; pool one per connection-serving goroutine (the tube
-// server does).
+// Decoder turns frames back into records in frame-index form. Not
+// safe for concurrent use; pool one per connection-serving goroutine
+// (the tube server does).
 type Decoder struct {
 	tab      *ClassTable
-	maxFrame int
+	maxFrame int // payload bound, DefaultMaxFrameBytes
 	userTab  [][]byte
 	hashTab  []uint32
-	names    []string
 	recs     []ingest.WireRecord
-	counts   []int64
 }
 
 // NewDecoder builds a decoder over the class table.
 func NewDecoder(tab *ClassTable) *Decoder {
-	return &Decoder{
-		tab:      tab,
-		maxFrame: DefaultMaxFrameBytes,
-		counts:   make([]int64, tab.Len()),
-	}
-}
-
-// SetMaxFrameBytes bounds the accepted payload length (guards against a
-// corrupt or hostile length prefix).
-func (d *Decoder) SetMaxFrameBytes(n int) {
-	if n > 0 {
-		d.maxFrame = n
-	}
-}
-
-// ClassCounts returns the per-class report counts of the most recently
-// decoded frame, ordered as the class table: the header summary,
-// verified against the records during decode. The slice is reused
-// across Decode calls.
-func (d *Decoder) ClassCounts() []int64 { return d.counts }
-
-// Decode consumes one frame from the front of buf, appends its reports
-// to dst and returns the extended slice plus the number of bytes
-// consumed. Callers loop Decode over a request body holding several
-// frames; io.EOF-style "no more frames" is len(buf) == 0 at the caller.
-func (d *Decoder) Decode(buf []byte, dst []ingest.Report) (out []ingest.Report, consumed int, err error) {
-	payload, total, err := d.checkFrame(buf)
-	if err != nil {
-		return dst, 0, err
-	}
-	out, err = d.decodePayloadV1(payload, dst)
-	if err != nil {
-		return dst, 0, err
-	}
-	return out, total, nil
+	return &Decoder{tab: tab, maxFrame: DefaultMaxFrameBytes}
 }
 
 // checkFrame validates one frame's envelope — magic, version, flags,
@@ -370,12 +333,10 @@ func (d *Decoder) checkFrame(buf []byte) (payload []byte, total int, err error) 
 // frame-index form (ingest.WireRecord.Class indexes the decoder's class
 // table, which matches the engine's class order). The user views are
 // valid while buf is; the three slices themselves are decoder-owned
-// scratch, valid only until the next Decode/DecodeRecords call —
-// callers that keep the frame past the next call must copy them.
+// scratch, valid only until the next DecodeRecords call — callers that
+// keep the frame past the next call must copy them.
 //
-// Feeding the result to Engine.ApplyWire is the server's ingest path;
-// it produces the same counters as Decode + RecordBatch (the reference
-// twin, pinned by the property tests).
+// Feeding the result to Engine.ApplyWire is the server's ingest path.
 func (d *Decoder) DecodeRecords(buf []byte) (users [][]byte, hashes []uint32, recs []ingest.WireRecord, consumed int, err error) {
 	payload, total, err := d.checkFrame(buf)
 	if err != nil {
@@ -396,105 +357,9 @@ func uvarint(p []byte) (uint64, []byte, error) {
 	return v, p[n:], nil
 }
 
-func (d *Decoder) decodePayloadV1(p []byte, dst []ingest.Report) ([]ingest.Report, error) {
-	if len(p) < 4 {
-		return dst, fmt.Errorf("%w: payload too short for class hash", ErrCorrupt)
-	}
-	if h := binary.LittleEndian.Uint32(p); h != d.tab.hash {
-		return dst, fmt.Errorf("%w: frame hash %#x, table hash %#x", ErrClassTable, h, d.tab.hash)
-	}
-	p = p[4:]
-	nc, p, err := uvarint(p)
-	if err != nil {
-		return dst, err
-	}
-	if int(nc) != d.tab.Len() {
-		return dst, fmt.Errorf("%w: frame has %d classes, table %d", ErrClassTable, nc, d.tab.Len())
-	}
-	var headerN uint64
-	for i := range d.counts {
-		c, rest, err := uvarint(p)
-		if err != nil {
-			return dst, err
-		}
-		d.counts[i] = int64(c)
-		headerN += c
-		p = rest
-	}
-	nu, p, err := uvarint(p)
-	if err != nil {
-		return dst, err
-	}
-	if nu > uint64(len(p)) { // each user needs ≥1 length byte
-		return dst, fmt.Errorf("%w: user table claims %d entries in %d bytes", ErrCorrupt, nu, len(p))
-	}
-	// The user table is copied out of the frame as one string, and each
-	// user's name is a substring of it.
-	table := p
-	for i := uint64(0); i < nu; i++ {
-		l, rest, err := uvarint(p)
-		if err != nil {
-			return dst, err
-		}
-		if l > uint64(len(rest)) {
-			return dst, fmt.Errorf("%w: user %d length %d overruns payload", ErrCorrupt, i, l)
-		}
-		p = rest[l:]
-	}
-	all := string(table[:len(table)-len(p)])
-	names := d.names[:0]
-	for q := table[:len(all)]; len(q) > 0; {
-		l, n := binary.Uvarint(q) // checked by the walk above
-		from := len(all) - len(q) + n
-		names = append(names, all[from:from+int(l)])
-		q = q[n+int(l):]
-	}
-	d.names = names
-	n, p, err := uvarint(p)
-	if err != nil {
-		return dst, err
-	}
-	if n != headerN {
-		return dst, fmt.Errorf("%w: record count %d, class counts sum %d", ErrCorrupt, n, headerN)
-	}
-	if n > uint64(len(p)) { // each record is ≥3 bytes
-		return dst, fmt.Errorf("%w: %d records claimed in %d bytes", ErrCorrupt, n, len(p))
-	}
-	for i := uint64(0); i < n; i++ {
-		ui, rest, err := uvarint(p)
-		if err != nil {
-			return dst, err
-		}
-		if ui >= uint64(len(names)) {
-			return dst, fmt.Errorf("%w: record %d user index %d of %d", ErrCorrupt, i, ui, len(names))
-		}
-		ci, rest, err := uvarint(rest)
-		if err != nil {
-			return dst, err
-		}
-		if ci >= uint64(d.tab.Len()) {
-			return dst, fmt.Errorf("%w: record %d class index %d of %d", ErrCorrupt, i, ci, d.tab.Len())
-		}
-		vb, rest, err := uvarint(rest)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, ingest.Report{
-			User:     names[ui],
-			Class:    d.tab.names[ci],
-			VolumeMB: unpackVolume(vb),
-		})
-		p = rest
-	}
-	if len(p) != 0 {
-		return dst, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p))
-	}
-	return dst, nil
-}
-
-// decodeRecordsV1 fills d.userTab/d.hashTab/d.recs from a v1 payload —
-// the same walk as decodePayloadV1, minus the per-record Report
-// materialization (class stays an index; volumes unpack in place).
+// decodeRecordsV1 fills d.userTab/d.hashTab/d.recs from a v1 payload:
+// class stays an index, volumes unpack in place, and no per-record
+// Report is materialized.
 func (d *Decoder) decodeRecordsV1(p []byte) error {
 	if len(p) < 4 {
 		return fmt.Errorf("%w: payload too short for class hash", ErrCorrupt)
@@ -511,12 +376,11 @@ func (d *Decoder) decodeRecordsV1(p []byte) error {
 		return fmt.Errorf("%w: frame has %d classes, table %d", ErrClassTable, nc, d.tab.Len())
 	}
 	var headerN uint64
-	for i := range d.counts {
+	for range d.tab.Len() {
 		c, rest, err := uvarint(p)
 		if err != nil {
 			return err
 		}
-		d.counts[i] = int64(c)
 		headerN += c
 		p = rest
 	}

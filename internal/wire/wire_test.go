@@ -54,7 +54,7 @@ func sameReports(a, b []ingest.Report) bool {
 func TestRoundTrip(t *testing.T) {
 	tab := mustTable(t)
 	enc := NewEncoder(tab)
-	dec := NewDecoder(tab)
+	dec := newRefDecoder(tab)
 	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
 		batch := sampleBatch(n)
 		frame, err := enc.Encode(batch)
@@ -122,7 +122,7 @@ func oddVolumeBatch() []ingest.Report {
 func TestRoundTripOddVolumes(t *testing.T) {
 	tab := mustTable(t)
 	enc := NewEncoder(tab)
-	dec := NewDecoder(tab)
+	dec := newRefDecoder(tab)
 	batch := oddVolumeBatch()
 	frame, err := enc.Encode(batch)
 	if err != nil {
@@ -138,9 +138,9 @@ func TestRoundTripOddVolumes(t *testing.T) {
 }
 
 // TestCrossVersion pins the one-version contract: a current frame
-// round-trips with its header class counts, and the same frame
-// re-stamped with any other version byte (CRC recomputed, so only the
-// version is wrong) is rejected by both decoders with ErrVersion.
+// round-trips through both decoders, and the same frame re-stamped with
+// any other version byte (CRC recomputed, so only the version is wrong)
+// is rejected by both with ErrVersion.
 func TestCrossVersion(t *testing.T) {
 	tab := mustTable(t)
 	batch := sampleBatch(50)
@@ -148,7 +148,7 @@ func TestCrossVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(tab)
+	dec := newRefDecoder(tab)
 	got, consumed, err := dec.Decode(frame, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -156,14 +156,17 @@ func TestCrossVersion(t *testing.T) {
 	if consumed != len(frame) || !sameReports(batch, got) {
 		t.Fatal("round trip mismatch")
 	}
-	want := make([]int64, tab.Len())
-	for _, r := range batch {
-		i, _ := tab.Index(r.Class)
-		want[i]++
+	users, _, recs, consumed, err := dec.DecodeRecords(frame)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, c := range dec.ClassCounts() {
-		if c != want[i] {
-			t.Fatalf("class %d count %d, want %d", i, c, want[i])
+	if consumed != len(frame) || len(recs) != len(batch) {
+		t.Fatalf("DecodeRecords: %d records in %d bytes, want %d in %d", len(recs), consumed, len(batch), len(frame))
+	}
+	for i, r := range recs {
+		if w := batch[i]; string(users[r.User]) != w.User || tab.Name(int(r.Class)) != w.Class ||
+			math.Float64bits(r.VolumeMB) != math.Float64bits(w.VolumeMB) {
+			t.Fatalf("record %d: DecodeRecords {%q %q %v}, batch {%q %q %v}", i, users[r.User], tab.Name(int(r.Class)), r.VolumeMB, w.User, w.Class, w.VolumeMB)
 		}
 	}
 	for _, v := range []byte{0, 2, 255} {
@@ -171,7 +174,7 @@ func TestCrossVersion(t *testing.T) {
 		mut[2] = v
 		crcAt := len(mut) - trailerLen
 		binary.LittleEndian.PutUint32(mut[crcAt:], crc32.ChecksumIEEE(mut[:crcAt]))
-		if _, _, err := NewDecoder(tab).Decode(mut, nil); !errors.Is(err, ErrVersion) {
+		if _, _, err := newRefDecoder(tab).Decode(mut, nil); !errors.Is(err, ErrVersion) {
 			t.Errorf("version %d: Decode = %v, want ErrVersion", v, err)
 		}
 		if _, _, _, _, err := NewDecoder(tab).DecodeRecords(mut); !errors.Is(err, ErrVersion) {
@@ -194,7 +197,7 @@ func TestMultiFrameDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dec := NewDecoder(tab)
+	dec := newRefDecoder(tab)
 	var got []ingest.Report
 	for len(body) > 0 {
 		var consumed int
@@ -217,10 +220,13 @@ func TestTruncatedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(tab)
+	dec := newRefDecoder(tab)
 	for cut := 0; cut < len(frame); cut++ {
 		if _, _, err := dec.Decode(frame[:cut], nil); err == nil {
 			t.Fatalf("truncation at %d of %d accepted", cut, len(frame))
+		}
+		if _, _, _, _, err := dec.DecodeRecords(frame[:cut]); err == nil {
+			t.Fatalf("DecodeRecords: truncation at %d of %d accepted", cut, len(frame))
 		}
 	}
 }
@@ -232,7 +238,7 @@ func TestCorruptFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(tab)
+	dec := newRefDecoder(tab)
 	// Every single-byte flip must be rejected (the CRC covers header and
 	// payload; trailer flips break the CRC comparison itself).
 	for i := 0; i < len(frame); i++ {
@@ -240,6 +246,9 @@ func TestCorruptFrames(t *testing.T) {
 		mut[i] ^= 0x40
 		if _, _, err := dec.Decode(mut, nil); err == nil {
 			t.Fatalf("bit flip at byte %d accepted", i)
+		}
+		if _, _, _, _, err := dec.DecodeRecords(mut); err == nil {
+			t.Fatalf("DecodeRecords: bit flip at byte %d accepted", i)
 		}
 	}
 }
@@ -254,13 +263,19 @@ func TestLengthPrefixGuards(t *testing.T) {
 	// A hostile length prefix must trip the size limit, not an allocation.
 	mut := append([]byte(nil), frame...)
 	binary.LittleEndian.PutUint32(mut[4:], 1<<30)
-	dec := NewDecoder(tab)
+	dec := newRefDecoder(tab)
 	if _, _, err := dec.Decode(mut, nil); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("giant length prefix: %v, want ErrTooLarge", err)
 	}
-	dec.SetMaxFrameBytes(8)
+	if _, _, _, _, err := dec.DecodeRecords(mut); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("DecodeRecords, giant length prefix: %v, want ErrTooLarge", err)
+	}
+	dec.maxFrame = 8
 	if _, _, err := dec.Decode(frame, nil); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("limit 8: %v, want ErrTooLarge", err)
+	}
+	if _, _, _, _, err := dec.DecodeRecords(frame); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("DecodeRecords, limit 8: %v, want ErrTooLarge", err)
 	}
 }
 
@@ -274,7 +289,7 @@ func TestClassTableMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewDecoder(other).Decode(frame, nil); !errors.Is(err, ErrClassTable) {
+	if _, _, err := newRefDecoder(other).Decode(frame, nil); !errors.Is(err, ErrClassTable) {
 		t.Fatalf("mismatched table: %v, want ErrClassTable", err)
 	}
 	// The separator in the table hash must distinguish ["ab","c"] from
@@ -302,14 +317,14 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(tab)
+	dec := newRefDecoder(tab)
 	dst := make([]ingest.Report, 0, len(batch))
 	// Warm up: size the tables.
 	if _, _, err := dec.Decode(frame, dst); err != nil {
 		t.Fatal(err)
 	}
-	// Decode copies the frame's user table out as one string, whatever
-	// the number of users and records.
+	// The reference Decode copies the frame's user table out as one
+	// string, whatever the number of users and records.
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, _, err := dec.Decode(frame, dst[:0]); err != nil {
 			t.Fatal(err)
@@ -374,7 +389,7 @@ func TestEncoderUserTableCollisions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec := NewDecoder(mustTable(t))
+		dec := newRefDecoder(mustTable(t))
 		table, _, _, _, err := dec.DecodeRecords(frame)
 		if err != nil {
 			t.Fatal(err)

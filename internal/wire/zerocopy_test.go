@@ -1,13 +1,14 @@
 package wire
 
-// The zero-copy apply path (DecodeRecords → Engine.ApplyWire) and the
-// classic path (Decode → RecordBatch) are twins: these property tests
-// pin them to the same class and per-user totals across shard counts,
-// and pin the fast path's zero-allocation steady state.
+// The zero-copy apply path (DecodeRecords → Engine.ApplyWire) is the
+// node's one ingest path. These tests pin it to a plain per-user sum of
+// the reference decoder's reports in metering units, across shard
+// counts, and pin its zero-allocation steady state.
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -18,7 +19,7 @@ var zcClasses = []string{"web", "ftp", "video", "p2p"}
 
 // zcReports builds a deterministic stream with repeated users, multiple
 // records per (user, class), and full-precision random volumes, which
-// both paths must round to the same metering units.
+// the engine must round to the same metering units as the reference.
 func zcReports(users, n int, seed uint64) []ingest.Report {
 	rng := rand.New(rand.NewPCG(seed, 11))
 	reps := make([]ingest.Report, n)
@@ -32,34 +33,26 @@ func zcReports(users, n int, seed uint64) []ingest.Report {
 	return reps
 }
 
-// applyFrames feeds every frame in body to eng via the requested path.
-func applyFrames(t *testing.T, eng *ingest.Engine, dec *Decoder, body []byte, zerocopy bool) {
-	t.Helper()
-	for len(body) > 0 {
-		var consumed int
-		if zerocopy {
-			users, hashes, recs, n, err := dec.DecodeRecords(body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.ApplyWire(users, hashes, recs); err != nil {
-				t.Fatal(err)
-			}
-			consumed = n
-		} else {
-			reps, n, err := dec.Decode(body, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.RecordBatch(reps); err != nil {
-				t.Fatal(err)
-			}
-			consumed = n
+// unitsPerMB is the engine's metering resolution: 2^-20 MB.
+const unitsPerMB = 1 << 20
+
+// cutUserTotals is a closed period's per-user volumes by name.
+func cutUserTotals(c *ingest.Cut) map[string]float64 {
+	out := make(map[string]float64)
+	names := make(map[int][]string)
+	c.EachUser(func(shard int, id int32, mb float64) {
+		if names[shard] == nil {
+			names[shard] = c.Engine().Names(shard)
 		}
-		body = body[consumed:]
-	}
+		out[names[shard][id]] = mb
+	})
+	return out
 }
 
+// TestApplyWireBitIdenticalTwin: a body of several frames applied
+// through DecodeRecords → ApplyWire closes with class and per-user
+// totals bit-identical to a plain map that sums the reference decoder's
+// reports, each rounded to metering units, in uint64.
 func TestApplyWireBitIdenticalTwin(t *testing.T) {
 	tab, err := NewClassTable(zcClasses)
 	if err != nil {
@@ -80,35 +73,49 @@ func TestApplyWireBitIdenticalTwin(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ref, err := ingest.NewEngine(zcClasses, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
 			zc, err := ingest.NewEngine(zcClasses, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			applyFrames(t, ref, NewDecoder(tab), body, false)
-			applyFrames(t, zc, NewDecoder(tab), body, true)
-
-			if got, want := zc.Accepted(), ref.Accepted(); got != want {
-				t.Fatalf("accepted %d via ApplyWire, %d via RecordBatch", got, want)
+			dec := NewDecoder(tab)
+			ref := newRefDecoder(tab)
+			refClass := make([]uint64, len(zcClasses))
+			refUser := make(map[string]uint64)
+			for buf := body; len(buf) > 0; {
+				users, hashes, recs, n, err := dec.DecodeRecords(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := zc.ApplyWire(users, hashes, recs); err != nil {
+					t.Fatal(err)
+				}
+				got, refN, err := ref.Decode(buf, nil)
+				if err != nil || refN != n {
+					t.Fatalf("reference decode: %d bytes, %v; DecodeRecords %d bytes", refN, err, n)
+				}
+				for _, r := range got {
+					u := uint64(math.RoundToEven(r.VolumeMB * unitsPerMB))
+					c, _ := tab.Index(r.Class)
+					refClass[c] += u
+					refUser[r.User] += u
+				}
+				buf = buf[n:]
 			}
-			refClass, zcClass := ref.ClassTotals(), zc.ClassTotals()
-			for j := range refClass {
+
+			cut := zc.Rollover()
+			for j, v := range cut.ClassTotals() {
 				//lint:allow floateq bit-identity is the property under test
-				if zcClass[j] != refClass[j] {
-					t.Fatalf("class %d: zero-copy total %v, reference %v", j, zcClass[j], refClass[j])
+				if want := float64(refClass[j]) / unitsPerMB; v != want {
+					t.Fatalf("class %d: zero-copy total %v, reference %v", j, v, want)
 				}
 			}
-			refUser, zcUser := ref.UserTotals(), zc.UserTotals()
+			zcUser := cutUserTotals(cut)
 			if len(refUser) != len(zcUser) {
 				t.Fatalf("zero-copy accounted %d users, reference %d", len(zcUser), len(refUser))
 			}
-			for u, want := range refUser {
+			for u, units := range refUser {
 				//lint:allow floateq bit-identity is the property under test
-				if zcUser[u] != want {
+				if want := float64(units) / unitsPerMB; zcUser[u] != want {
 					t.Fatalf("user %s: zero-copy total %v, reference %v", u, zcUser[u], want)
 				}
 			}
