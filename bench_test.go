@@ -12,7 +12,6 @@ import (
 	"tdp/internal/core"
 	"tdp/internal/emul"
 	"tdp/internal/experiments"
-	"tdp/internal/optimize"
 	"tdp/internal/waiting"
 )
 
@@ -281,65 +280,49 @@ func BenchmarkMultistartJobs(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) ---
 
-// BenchmarkAblationSolvers compares the three solvers on the 12-period
-// static model.
+// BenchmarkAblationSolvers times the certified dual solve on the
+// problems that have the exact affine form — static12, static48 and the
+// Appendix G fixed-duration model — and reports each one's iterations
+// and certified relative gap, failing above 1e-9.
 func BenchmarkAblationSolvers(b *testing.B) {
+	fixed := func() (*core.Pricing, error) {
+		m, err := core.NewFixedDurationModel(experiments.Static12(), 1, 1)
+		if err != nil {
+			return nil, err
+		}
+		return m.Solve()
+	}
+	static := func(scn func() *core.Scenario) func() (*core.Pricing, error) {
+		return func() (*core.Pricing, error) {
+			m, err := core.NewStaticModel(scn())
+			if err != nil {
+				return nil, err
+			}
+			return m.Solve()
+		}
+	}
 	for _, tc := range []struct {
-		name   string
-		solver core.Solver
+		name  string
+		solve func() (*core.Pricing, error)
 	}{
-		{"homotopy", core.SolverHomotopy},
-		{"coordinate", core.SolverCoordinate},
-		{"subgradient", core.SolverSubgradient},
-		{"lbfgs", core.SolverLBFGS},
+		{"static12", static(experiments.Static12)},
+		{"static48", static(experiments.Static48)},
+		{"fixedduration12", fixed},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			m, err := core.NewStaticModel(experiments.Static12())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
+			var pr *core.Pricing
 			for i := 0; i < b.N; i++ {
-				if _, err := m.SolveWith(tc.solver); err != nil {
+				var err error
+				if pr, err = tc.solve(); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationSmoothing compares homotopy schedules of different
-// lengths on the 48-period static model.
-func BenchmarkAblationSmoothing(b *testing.B) {
-	schedules := map[string][]float64{
-		"full7":    optimize.DefaultSchedule(),
-		"short3":   {1, 0.1, 0.01},
-		"single":   {0.01},
-		"coarse":   {1},
-		"veryfine": {1, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 0.0003, 0.0001},
-	}
-	for name, schedule := range schedules {
-		b.Run(name, func(b *testing.B) {
-			scn := experiments.Static48()
-			m, err := core.NewStaticModel(scn)
-			if err != nil {
-				b.Fatal(err)
+			if pr.RelGap() > 1e-9 {
+				b.Fatalf("relative gap %g, want ≤ 1e-9", pr.RelGap())
 			}
-			b.ResetTimer()
-			var cost float64
-			for i := 0; i < b.N; i++ {
-				res, err := optimize.Homotopy(
-					m.SmoothedObjective,
-					m.CostAt, make([]float64, scn.Periods),
-					optimize.UniformBounds(scn.Periods, 0, m.MaxReward()),
-					schedule, true,
-					optimize.WithMaxIterations(3000), optimize.WithTolerance(1e-8))
-				if err != nil {
-					b.Fatal(err)
-				}
-				cost = res.F
-			}
-			b.ReportMetric(cost, "cost")
+			b.ReportMetric(float64(pr.Iterations), "iters")
+			b.ReportMetric(pr.RelGap()*1e9, "relgap_ppb")
+			b.ReportMetric(pr.Cost, "cost")
 		})
 	}
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-
-	"tdp/internal/optimize"
 )
 
 // benchRewards is a deterministic mid-box schedule exercising both active
@@ -46,32 +44,32 @@ func BenchmarkStaticCostAtRef(b *testing.B) {
 	}
 }
 
-func BenchmarkStaticValueGrad(b *testing.B) {
-	sm, err := NewStaticModel(paper48())
-	if err != nil {
-		b.Fatal(err)
-	}
-	obj := sm.smoothedObjective(0.01).(optimize.ValueGrader)
-	p := benchRewards(48, sm.MaxReward())
-	grad := make([]float64, 48)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = obj.ValueGrad(p, grad)
-	}
-}
-
-func BenchmarkStaticValueGradRef(b *testing.B) {
-	sm, err := NewStaticModel(paper48())
-	if err != nil {
-		b.Fatal(err)
-	}
-	obj := sm.ReferenceObjective(0.01)
-	p := benchRewards(48, sm.MaxReward())
-	grad := make([]float64, 48)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = obj.Value(p)
-		obj.Grad(p, grad)
+// BenchmarkStaticSolve times the certified day solve on the paper's
+// scenarios and reports its iterations and relative gap; it fails if the
+// gap is not certified to 1e-9.
+func BenchmarkStaticSolve(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		scn  func() *Scenario
+	}{{"static12", paper12}, {"static48", paper48}} {
+		b.Run(tc.name, func(b *testing.B) {
+			sm, err := NewStaticModel(tc.scn())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var pr *Pricing
+			for i := 0; i < b.N; i++ {
+				if pr, err = sm.Solve(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if pr.RelGap() > 1e-9 {
+				b.Fatalf("relative gap %g, want ≤ 1e-9", pr.RelGap())
+			}
+			b.ReportMetric(float64(pr.Iterations), "iters")
+			b.ReportMetric(pr.RelGap()*1e9, "relgap_ppb")
+		})
 	}
 }
 

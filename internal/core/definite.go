@@ -204,9 +204,11 @@ func (dc *DefiniteChoiceModel) Solve(opts ...optimize.Option) (*Pricing, error) 
 		res.F = tip
 	}
 	return &Pricing{
-		Rewards: res.X,
-		Usage:   dc.UsageAt(res.X),
-		Cost:    res.F,
-		TIPCost: dc.TIPCost(),
+		Rewards:    res.X,
+		Usage:      dc.UsageAt(res.X),
+		Cost:       res.F,
+		TIPCost:    dc.TIPCost(),
+		LowerBound: math.Inf(-1),
+		Gap:        math.Inf(1),
 	}, nil
 }

@@ -177,4 +177,7 @@ func TestFixedDurationSolve(t *testing.T) {
 	if pr.Cost >= pr.TIPCost {
 		t.Errorf("no improvement from pricing: %v vs %v", pr.Cost, pr.TIPCost)
 	}
+	if g := pr.RelGap(); g > 1e-9 {
+		t.Errorf("fixed-duration relative gap %g, want ≤ 1e-9", g)
+	}
 }

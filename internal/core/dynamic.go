@@ -278,29 +278,22 @@ func (dm *DynamicModel) Solve(opts ...optimize.Option) (*Pricing, error) {
 		Cost:         res.F,
 		TIPCost:      dm.TIPCost(),
 		RewardOutlay: outlay,
+		LowerBound:   math.Inf(-1),
+		Gap:          math.Inf(1),
 		Iterations:   res.Iterations,
 		Evals:        res.Evals,
 	}, nil
 }
 
-// SolveForPeriod optimizes the single reward p_{period+1} with the others
-// held fixed — the online algorithm's inner step against the dynamic cost.
-func (dm *DynamicModel) SolveForPeriod(p []float64, period int) (float64, float64, error) {
-	ps, err := dm.solveForPeriod(p, period, 0, false)
-	if err != nil {
-		return 0, 0, err
-	}
-	return ps.Reward, ps.Cost, nil
-}
-
-// SolveForPeriodWarm is SolveForPeriod seeded with the previous reward for
-// the slot; see StaticModel.SolveForPeriodWarm.
+// SolveForPeriodWarm is SolveForPeriodCold seeded with the previous reward
+// for the slot; see StaticModel.SolveForPeriodWarm.
 func (dm *DynamicModel) SolveForPeriodWarm(p []float64, period int, prev float64) (PeriodSolve, error) {
 	return dm.solveForPeriod(p, period, prev, true)
 }
 
-// SolveForPeriodCold is SolveForPeriod with the solve report; see
-// StaticModel.SolveForPeriodCold.
+// SolveForPeriodCold optimizes the single reward p_{period+1} with the
+// others held fixed — the online algorithm's inner step against the
+// dynamic cost; see StaticModel.SolveForPeriodCold.
 func (dm *DynamicModel) SolveForPeriodCold(p []float64, period int) (PeriodSolve, error) {
 	return dm.solveForPeriod(p, period, 0, false)
 }

@@ -193,15 +193,15 @@ func TestDynamicSolveForPeriodOptimality(t *testing.T) {
 		t.Fatalf("Solve: %v", err)
 	}
 	for _, period := range []int{0, 6, 11} {
-		_, cost, err := dm.SolveForPeriod(pr.Rewards, period)
+		ps, err := dm.SolveForPeriodCold(pr.Rewards, period)
 		if err != nil {
-			t.Fatalf("SolveForPeriod: %v", err)
+			t.Fatalf("SolveForPeriodCold: %v", err)
 		}
-		if cost < pr.Cost-1e-4 {
-			t.Errorf("period %d: 1-D reopt improved %v → %v", period+1, pr.Cost, cost)
+		if ps.Cost < pr.Cost-1e-4 {
+			t.Errorf("period %d: 1-D reopt improved %v → %v", period+1, pr.Cost, ps.Cost)
 		}
 	}
-	if _, _, err := dm.SolveForPeriod(pr.Rewards, -1); !errors.Is(err, ErrBadScenario) {
+	if _, err := dm.SolveForPeriodCold(pr.Rewards, -1); !errors.Is(err, ErrBadScenario) {
 		t.Errorf("negative period: err = %v, want ErrBadScenario", err)
 	}
 }

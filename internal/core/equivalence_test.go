@@ -55,8 +55,8 @@ func relDiff(a, b float64) float64 {
 var equivSizes = []int{12, 24, 48, 96}
 
 // TestStaticFastMatchesReference pins the flattened static evaluation
-// paths — cost, usage, smoothed value, analytic gradient, and the fused
-// value+gradient — to the preserved original implementations at ≤1e-12.
+// paths — cost and usage — to the preserved original implementations at
+// ≤1e-12.
 func TestStaticFastMatchesReference(t *testing.T) {
 	for _, n := range equivSizes {
 		for _, noWrap := range []bool{false, true} {
@@ -65,9 +65,6 @@ func TestStaticFastMatchesReference(t *testing.T) {
 				t.Fatalf("n=%d: %v", n, err)
 			}
 			rng := rand.New(rand.NewSource(int64(n) * 7))
-			grad := make([]float64, n)
-			refGrad := make([]float64, n)
-			fusedGrad := make([]float64, n)
 			for trial := 0; trial < 25; trial++ {
 				p := randRewards(n, sm.MaxReward(), rng)
 				if d := relDiff(sm.CostAt(p), sm.ReferenceCostAt(p)); d > 1e-12 {
@@ -77,31 +74,6 @@ func TestStaticFastMatchesReference(t *testing.T) {
 				for i := range x {
 					if d := relDiff(x[i], xr[i]); d > 1e-12 {
 						t.Fatalf("n=%d noWrap=%v: usage[%d] diff %g", n, noWrap, i, d)
-					}
-				}
-				for _, mu := range []float64{0, 0.003, 0.1, 1} {
-					obj := sm.SmoothedObjective(mu)
-					ref := sm.ReferenceObjective(mu)
-					if d := relDiff(obj.Value(p), ref.Value(p)); d > 1e-12 {
-						t.Fatalf("n=%d mu=%v: Value diff %g", n, mu, d)
-					}
-					obj.Grad(p, grad)
-					ref.Grad(p, refGrad)
-					for i := range grad {
-						if d := relDiff(grad[i], refGrad[i]); d > 1e-12 {
-							t.Fatalf("n=%d mu=%v: grad[%d] diff %g (%g vs %g)",
-								n, mu, i, d, grad[i], refGrad[i])
-						}
-					}
-					vg := obj.(optimize.ValueGrader)
-					fv := vg.ValueGrad(p, fusedGrad)
-					if d := relDiff(fv, ref.Value(p)); d > 1e-12 {
-						t.Fatalf("n=%d mu=%v: fused value diff %g", n, mu, d)
-					}
-					for i := range fusedGrad {
-						if d := relDiff(fusedGrad[i], refGrad[i]); d > 1e-12 {
-							t.Fatalf("n=%d mu=%v: fused grad[%d] diff %g", n, mu, i, d)
-						}
 					}
 				}
 			}
@@ -173,10 +145,11 @@ func TestStaticSolveForPeriodMatchesReference(t *testing.T) {
 		for trial := 0; trial < 10; trial++ {
 			p := randRewards(n, sm.MaxReward(), rng)
 			period := rng.Intn(n)
-			r, c, err := sm.SolveForPeriod(p, period)
+			ps, err := sm.SolveForPeriodCold(p, period)
 			if err != nil {
 				t.Fatal(err)
 			}
+			r, c := ps.Reward, ps.Cost
 			rr, cr, err := sm.ReferenceSolveForPeriod(p, period)
 			if err != nil {
 				t.Fatal(err)
@@ -231,49 +204,35 @@ func TestSolveForPeriodWarmMatchesCold(t *testing.T) {
 	}
 }
 
-// TestWarmStartSolveMatchesCold checks a warm-started full solve matches
-// the cold optimum. The production path (SolverHomotopy — what the TUBE
-// controller warm-starts day over day) must match to ≤1e-9 while spending
-// fewer objective evaluations. SolverLBFGS is held to a looser 1e-5:
-// quasi-Newton trajectories on the kinked cost landscape are
-// path-dependent, and starting from a different point can settle a
-// different (near-identical) critical point of the final polish; the
-// truncated schedule is not the cause — a warm start through the full
-// schedule lands no closer.
+// TestWarmStartSolveMatchesCold checks a warm-started homotopy solve of
+// the dynamic model (the one full solve that still takes a warm start:
+// mechanism.TDP's dynamic branch seeds it from yesterday's schedule)
+// matches the cold optimum to ≤1e-9 while spending fewer evaluations.
 func TestWarmStartSolveMatchesCold(t *testing.T) {
-	for _, tc := range []struct {
-		solver  Solver
-		costTol float64
-		evals   bool // assert the warm solve evaluates less
-	}{
-		{SolverHomotopy, 1e-9, true},
-		{SolverLBFGS, 1e-5, false},
-	} {
-		sm, err := NewStaticModel(paper12())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := sm.SolveWith(tc.solver)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Perturb the cold optimum slightly, as day-to-day belief drift
-		// would, and re-solve warm.
-		warm := append([]float64(nil), cold.Rewards...)
-		rng := rand.New(rand.NewSource(11))
-		for i := range warm {
-			warm[i] = math.Max(0, warm[i]+0.01*(rng.Float64()-0.5))
-		}
-		pr, err := sm.SolveWith(tc.solver, optimize.WithWarmStart(warm))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := relDiff(pr.Cost, cold.Cost); d > tc.costTol {
-			t.Fatalf("solver %d: warm cost %v vs cold %v (diff %g)", tc.solver, pr.Cost, cold.Cost, d)
-		}
-		if tc.evals && pr.Evals >= cold.Evals {
-			t.Fatalf("solver %d: warm solve used %d evals, cold %d", tc.solver, pr.Evals, cold.Evals)
-		}
+	dm, err := NewDynamicModel(paper12())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := dm.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Perturb the cold optimum slightly, as day-to-day belief drift
+	// would, and re-solve warm.
+	warm := append([]float64(nil), cold.Rewards...)
+	rng := rand.New(rand.NewSource(11))
+	for i := range warm {
+		warm[i] = math.Max(0, warm[i]+0.01*(rng.Float64()-0.5))
+	}
+	pr, err := dm.Solve(optimize.WithWarmStart(warm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := relDiff(pr.Cost, cold.Cost); d > 1e-9 {
+		t.Fatalf("warm cost %v vs cold %v (diff %g)", pr.Cost, cold.Cost, d)
+	}
+	if pr.Evals >= cold.Evals {
+		t.Fatalf("warm solve used %d evals, cold %d", pr.Evals, cold.Evals)
 	}
 }
 
@@ -330,12 +289,17 @@ func TestSetDemandRowMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestPooledWorkspacesParallel hammers one model's pooled evaluation
-// workspaces from many goroutines (as parallel multistarts do); run with
+// TestPooledWorkspacesParallel hammers the pooled evaluation workspaces
+// (the static cost and the dynamic model's fused value+gradient) from
+// many goroutines (as parallel multistarts do); run with
 // -race it proves the pool keeps concurrent solves isolated, and the
 // results must equal the single-threaded ones.
 func TestPooledWorkspacesParallel(t *testing.T) {
 	sm, err := NewStaticModel(equivScenario(24, 31, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm, err := NewDynamicModel(equivScenario(24, 31, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +308,7 @@ func TestPooledWorkspacesParallel(t *testing.T) {
 	points := make([][]float64, 64)
 	want := make([]float64, len(points))
 	wantGrad := make([][]float64, len(points))
-	obj := sm.SmoothedObjective(0.01).(optimize.ValueGrader)
+	obj := dm.smoothedObjective(0.01).(optimize.ValueGrader)
 	wantCost := make([]float64, len(points))
 	for i := range points {
 		points[i] = randRewards(24, sm.MaxReward(), rng)
@@ -413,45 +377,6 @@ func TestDefiniteChoiceMultistartRace(t *testing.T) {
 	}
 	if prSerial.Cost != prParallel.Cost {
 		t.Fatalf("parallel multistart cost %v, serial %v", prParallel.Cost, prSerial.Cost)
-	}
-}
-
-// TestFixedDurationAdjointGradient checks the new analytic adjoint against
-// numeric differentiation of the smoothed cost.
-func TestFixedDurationAdjointGradient(t *testing.T) {
-	fm, err := NewFixedDurationModel(equivScenario(12, 61, false), 0.8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm.StartSessions = 3
-	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 5; trial++ {
-		p := make([]float64, 12)
-		for i := range p {
-			p[i] = rng.Float64() * 0.9 * fm.scn.NormReward()
-		}
-		for _, mu := range []float64{0.1, 0.01} {
-			obj := fixedDurationObjective{fm: fm, mu: mu}
-			grad := make([]float64, 12)
-			obj.Grad(p, grad)
-			num := make([]float64, 12)
-			optimize.NumGrad(obj.Value, p, num)
-			for i := range grad {
-				if d := math.Abs(grad[i] - num[i]); d > 1e-5*(1+math.Abs(num[i])) {
-					t.Fatalf("mu=%v grad[%d] = %v, numeric %v", mu, i, grad[i], num[i])
-				}
-			}
-			fused := make([]float64, 12)
-			fv := obj.ValueGrad(p, fused)
-			if d := relDiff(fv, obj.Value(p)); d > 1e-12 {
-				t.Fatalf("fused value diff %g", d)
-			}
-			for i := range fused {
-				if fused[i] != grad[i] {
-					t.Fatalf("fused grad[%d] %v != %v", i, fused[i], grad[i])
-				}
-			}
-		}
 	}
 }
 

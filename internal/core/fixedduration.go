@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"tdp/internal/optimize"
 	"tdp/internal/waiting"
 )
 
@@ -23,10 +22,9 @@ import (
 // per period is p_i·In_i + f(b·N_i(end) − A_i): the reward outlay plus the
 // congestion cost of the concurrent volume exceeding capacity.
 //
-// Unlike the fixed-size model the recursion is smooth (no max kink), so
-// only the piecewise-linear f needs smoothing during the solve. The
-// linearity of the recursion also yields an exact adjoint gradient, so the
-// solve no longer falls back to numeric differentiation.
+// Unlike the fixed-size model the recursion has no max kink: it is linear
+// in the arrivals, so the model has the same exact AffineForm as the
+// static model and Solve certifies its optimum the same way.
 type FixedDurationModel struct {
 	scn    *Scenario
 	totals []float64
@@ -82,147 +80,73 @@ func NewFixedDurationModel(scn *Scenario, departRate, sessionSize float64) (*Fix
 func (fm *FixedDurationModel) SessionCounts(p []float64) []float64 {
 	w := fm.ws.get()
 	defer fm.ws.put(w)
+	fm.countsInto(p, w)
+	return append([]float64(nil), w.z...)
+}
+
+// countsInto runs the session-count recursion for rewards p, leaving the
+// deferred-into vector in w.in and the end-of-period counts N_i in w.z.
+func (fm *FixedDurationModel) countsInto(p []float64, w *evalWS) {
 	fm.kd.arrivalsInto(p, fm.totals, w.x, w.in, w.p2)
-	out := make([]float64, fm.n)
 	decay := math.Exp(-fm.DepartRate)
 	north := fm.StartSessions
 	for i := 0; i < fm.n; i++ {
 		nu := w.x[i] / fm.SessionSize // arrivals in sessions/period
 		north = north*decay + (nu/fm.DepartRate)*(1-decay)
-		out[i] = north
+		w.z[i] = north
 	}
-	return out
 }
 
 // CostAt evaluates the exact objective (36).
 func (fm *FixedDurationModel) CostAt(p []float64) float64 {
-	return fm.costSmoothed(p, 0)
+	w := fm.ws.get()
+	defer fm.ws.put(w)
+	fm.countsInto(p, w)
+	var c float64
+	for i := 0; i < fm.n; i++ {
+		c += p[i]*w.in[i] + fm.scn.Cost.Value(fm.SessionSize*w.z[i]-fm.scn.Capacity[i])
+	}
+	return c
 }
 
 // TIPCost returns the no-reward cost.
 func (fm *FixedDurationModel) TIPCost() float64 {
-	w := fm.ws.get()
-	zero := w.pwork
-	for i := range zero {
-		zero[i] = 0
-	}
-	c := fm.costSmoothed(zero, 0)
-	fm.ws.put(w)
-	return c
+	return fm.CostAt(make([]float64, fm.n))
 }
 
-func (fm *FixedDurationModel) costSmoothed(p []float64, mu float64) float64 {
-	w := fm.ws.get()
-	defer fm.ws.put(w)
-	fm.kd.arrivalsInto(p, fm.totals, w.x, w.in, w.p2)
-	decay := math.Exp(-fm.DepartRate)
-	north := fm.StartSessions
-	var c float64
-	for i := 0; i < fm.n; i++ {
-		nu := w.x[i] / fm.SessionSize
-		north = north*decay + (nu/fm.DepartRate)*(1-decay)
-		c += p[i]*w.in[i] + fm.scn.Cost.Smooth(fm.SessionSize*north-fm.scn.Capacity[i], mu)
-	}
-	return c
+// MaxReward returns the box bound for rewards, as for the static model.
+func (fm *FixedDurationModel) MaxReward() float64 {
+	return math.Min(fm.scn.Cost.MaxSlope(), fm.scn.NormReward())
 }
 
-// fixedDurationObjective is the smoothed cost with an exact adjoint
-// gradient: the session-count recursion is linear in the arrivals, so the
-// adjoint on N accumulates backward in O(n) —
-//
-//	adN_i = b·f'(b·N_i − A_i) + e^{−d}·adN_{i+1},   ∂C/∂arr_i = adN_i·(1−e^{−d})/(d·b)
-//
-// — and scatters to reward space through the shared kernel gather. It
-// implements optimize.ValueGrader so line searches fuse the value and
-// gradient passes over one arrival computation.
-type fixedDurationObjective struct {
-	fm *FixedDurationModel
-	mu float64
-}
-
-var _ optimize.ValueGrader = fixedDurationObjective{}
-
-// Value implements optimize.Objective.
-func (o fixedDurationObjective) Value(p []float64) float64 { return o.fm.costSmoothed(p, o.mu) }
-
-// Grad implements optimize.Objective.
-func (o fixedDurationObjective) Grad(p, grad []float64) {
-	o.valueGrad(p, grad, false)
-}
-
-// ValueGrad implements optimize.ValueGrader.
-func (o fixedDurationObjective) ValueGrad(p, grad []float64) float64 {
-	return o.valueGrad(p, grad, true)
-}
-
-func (o fixedDurationObjective) valueGrad(p, grad []float64, needValue bool) float64 {
-	fm := o.fm
-	n := fm.n
-	w := fm.ws.get()
-	defer fm.ws.put(w)
-	fm.kd.arrivalsInto(p, fm.totals, w.x, w.in, w.p2)
-	decay := math.Exp(-fm.DepartRate)
-	gain := (1 - decay) / (fm.DepartRate * fm.SessionSize) // ∂N_i/∂arr_i
-	north := fm.StartSessions
-	var c float64
-	for i := 0; i < n; i++ {
-		// Same association as costSmoothed so the fused value matches it
-		// bit for bit; gain is only the adjoint's sensitivity.
-		nu := w.x[i] / fm.SessionSize
-		north = north*decay + (nu/fm.DepartRate)*(1-decay)
-		load := fm.SessionSize*north - fm.scn.Capacity[i]
-		if needValue {
-			v, fp := fm.scn.Cost.SmoothBoth(load, o.mu)
-			c += p[i]*w.in[i] + v
-			w.fp[i] = fp
-		} else {
-			w.fp[i] = fm.scn.Cost.SmoothDeriv(load, o.mu)
+// AffineForm reads the model off as an AffineForm. The session-count
+// recursion is linear in the arrivals, which are affine in p, so the
+// concurrent load b·N_i is affine in p too; C is the inflow weights, as
+// for the static model.
+func (fm *FixedDurationModel) AffineForm() *AffineForm {
+	return newAffineForm(func(p, out []float64) {
+		w := fm.ws.get()
+		fm.countsInto(p, w)
+		for i, north := range w.z[:fm.n] {
+			out[i] = fm.SessionSize * north
 		}
-	}
-	adN := 0.0
-	for i := n - 1; i >= 0; i-- {
-		adN = fm.SessionSize*w.fp[i] + decay*adN
-		lam := adN * gain
-		w.lam2[i] = lam
-		w.lam2[n+i] = lam
-	}
-	fm.kd.gradGather(p, w.lam2, grad)
-	return c
+		fm.ws.put(w)
+	}, append([]float64(nil), fm.kd.inW...), append([]float64(nil), fm.scn.Capacity...),
+		fm.scn.Cost, fm.MaxReward())
 }
 
-// Solve minimizes the fixed-duration cost with the homotopy solver and the
-// exact adjoint gradient (the recursion itself is smooth; only f is
-// smoothed). Options are forwarded to the homotopy driver.
-func (fm *FixedDurationModel) Solve(opts ...optimize.Option) (*Pricing, error) {
-	bounds := optimize.UniformBounds(fm.n, 0, math.Min(fm.scn.Cost.MaxSlope(), fm.scn.NormReward()))
-	x0 := make([]float64, fm.n)
-	res, err := optimize.Homotopy(
-		func(mu float64) optimize.Objective {
-			return fixedDurationObjective{fm: fm, mu: mu}
-		},
-		fm.CostAt, x0, bounds, optimize.DefaultSchedule(), true,
-		append([]optimize.Option{
-			optimize.WithMaxIterations(800), optimize.WithTolerance(1e-7),
-		}, opts...)...,
-	)
-	if err != nil && res.X == nil {
-		return nil, fmt.Errorf("fixed-duration solve: %w", err)
-	}
-	p := res.X
+// Solve minimizes the fixed-duration cost with the exact dual solve of the
+// model's AffineForm, to a certified relative gap of 1e-9. Usage in the
+// result holds the end-of-period session counts.
+func (fm *FixedDurationModel) Solve() (*Pricing, error) {
+	pr := fm.AffineForm().Solve()
 	w := fm.ws.get()
-	fm.kd.arrivalsInto(p, fm.totals, w.x, w.in, w.p2)
-	var outlay float64
+	fm.countsInto(pr.Rewards, w)
 	for i := 0; i < fm.n; i++ {
-		outlay += p[i] * w.in[i]
+		pr.RewardOutlay += pr.Rewards[i] * w.in[i]
 	}
+	pr.Usage = append([]float64(nil), w.z...)
 	fm.ws.put(w)
-	return &Pricing{
-		Rewards:      p,
-		Usage:        fm.SessionCounts(p),
-		Cost:         res.F,
-		TIPCost:      fm.TIPCost(),
-		RewardOutlay: outlay,
-		Iterations:   res.Iterations,
-		Evals:        res.Evals,
-	}, nil
+	pr.TIPCost = fm.TIPCost()
+	return pr, nil
 }

@@ -273,7 +273,7 @@ func (k *deferKernel) gradGather(p, lam2, grad []float64) {
 
 // periodCoef writes the single-coordinate sensitivity vector for reward r:
 // coef[i] = ∂x_i/∂p_r⁺, i.e. +inW[r] at i = r and −(flow i→r weight)
-// elsewhere. SolveForPeriod's O(n) incremental cost path is built on it.
+// elsewhere. The per-period solve's O(n) incremental cost path is built on it.
 func (k *deferKernel) periodCoef(r int, coef []float64) {
 	n := k.n
 	row := k.gathW[r*(n-1) : (r+1)*(n-1)]

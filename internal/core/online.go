@@ -1,16 +1,11 @@
 package core
 
-import (
-	"fmt"
-
-	"tdp/internal/optimize"
-)
+import "fmt"
 
 // periodModel is the slice of StaticModel/DynamicModel the online
-// algorithm needs: full solve for initialization, incremental demand
-// updates, and warm single-period re-optimization as periods elapse.
+// algorithm needs after its initial full solve: incremental demand
+// updates and warm single-period re-optimization as periods elapse.
 type periodModel interface {
-	Solve(opts ...optimize.Option) (*Pricing, error)
 	SolveForPeriodWarm(p []float64, period int, prev float64) (PeriodSolve, error)
 	SolveForPeriodCold(p []float64, period int) (PeriodSolve, error)
 	SetDemandRow(i int, row []float64) error
@@ -27,11 +22,6 @@ type OnlineConfig struct {
 	// The default 1 replaces the estimate outright, as in §V-B where the
 	// ISP adopts the measured 200 MBps for period 1.
 	Alpha float64
-	// Cold disables warm-starting the per-period solves from the current
-	// reward; each re-optimization then brackets the full [0, MaxReward]
-	// interval. It exists for the warm-vs-cold comparison tests and
-	// benchmarks.
-	Cold bool
 }
 
 // OnlineStats accumulates the work spent on per-period re-optimizations —
@@ -41,7 +31,7 @@ type OnlineStats struct {
 	// PeriodSolves counts completed Advance re-optimizations.
 	PeriodSolves int
 	// WarmSolves counts the solves settled inside the warm bracket
-	// (always 0 when Cold is set or on bracket-edge fallbacks).
+	// (0 on bracket-edge fallbacks).
 	WarmSolves int
 	// Evals is the cumulative number of one-dimensional cost evaluations.
 	Evals int
@@ -60,6 +50,7 @@ type OnlineOptimizer struct {
 	scn     *Scenario
 	cfg     OnlineConfig
 	model   periodModel
+	plan    *Pricing
 	rewards []float64
 	elapsed int
 	stats   OnlineStats
@@ -77,22 +68,37 @@ func NewOnlineOptimizer(scn *Scenario, cfg OnlineConfig) (*OnlineOptimizer, erro
 	}
 	cp := scn.Clone()
 	o := &OnlineOptimizer{scn: cp, cfg: cfg}
-	var err error
+	var (
+		pr  *Pricing
+		err error
+	)
 	if cfg.UseDynamic {
-		o.model, err = NewDynamicModel(cp)
+		var dm *DynamicModel
+		if dm, err = NewDynamicModel(cp); err != nil {
+			return nil, err
+		}
+		o.model = dm
+		pr, err = dm.Solve()
 	} else {
-		o.model, err = NewStaticModel(cp)
+		var sm *StaticModel
+		if sm, err = NewStaticModel(cp); err != nil {
+			return nil, err
+		}
+		o.model = sm
+		pr, err = sm.Solve()
 	}
-	if err != nil {
-		return nil, err
-	}
-	pr, err := o.model.Solve()
 	if err != nil {
 		return nil, fmt.Errorf("online init: %w", err)
 	}
-	o.rewards = pr.Rewards
+	o.plan = pr
+	o.rewards = append([]float64(nil), pr.Rewards...)
 	return o, nil
 }
+
+// InitialPlan returns the offline solve the schedule started from, with
+// its cost accounting and optimality certificate. The caller must not
+// modify it.
+func (o *OnlineOptimizer) InitialPlan() *Pricing { return o.plan }
 
 // Rewards returns a copy of the current rolling reward schedule, indexed
 // by period (mod n).
@@ -141,15 +147,7 @@ func (o *OnlineOptimizer) Advance(observed []float64) (PeriodSolve, error) {
 	if err := o.model.SetDemandRow(idx, o.scn.Demand[idx]); err != nil {
 		return PeriodSolve{}, err
 	}
-	var (
-		ps  PeriodSolve
-		err error
-	)
-	if o.cfg.Cold {
-		ps, err = o.model.SolveForPeriodCold(o.rewards, idx)
-	} else {
-		ps, err = o.model.SolveForPeriodWarm(o.rewards, idx, o.rewards[idx])
-	}
+	ps, err := o.model.SolveForPeriodWarm(o.rewards, idx, o.rewards[idx])
 	if err != nil {
 		return PeriodSolve{}, err
 	}

@@ -10,9 +10,9 @@ import (
 // pre-flattening loop structure (per-lag wrap arithmetic, positivity
 // branches, fresh slices per call). They exist to pin the optimized
 // kernel-table paths: the equivalence and fuzz tests check fast ≡ reference
-// to ≤1e-12 on costs, gradients, and usage, and the solver benchmarks use
-// ReferenceObjective for an honest before/after comparison on the same
-// model. They live in a test file, so no production path can reach them.
+// to ≤1e-12 on costs, gradients, and usage, and the static homotopy
+// reference bounds the certified dual solve from above. They live in a
+// test file, so no production path can reach them.
 
 // referenceUsage is the original StaticModel.usage: allocating, with
 // wrap arithmetic and positivity branches in the inner loop.
@@ -57,7 +57,7 @@ func (sm *StaticModel) ReferenceUsageAt(p []float64) []float64 {
 	return x
 }
 
-// ReferenceSolveForPeriod is the original SolveForPeriod: a Brent search
+// ReferenceSolveForPeriod is the original per-period solve: a Brent search
 // whose every evaluation runs the full O(n²) cost.
 func (sm *StaticModel) ReferenceSolveForPeriod(p []float64, period int) (float64, float64, error) {
 	if err := checkPeriod(period, sm.n); err != nil {
@@ -71,43 +71,50 @@ func (sm *StaticModel) ReferenceSolveForPeriod(p []float64, period int) (float64
 	return best, fbest, nil
 }
 
-// ReferenceObjective is the original smoothed objective: value and
-// gradient recompute the usage independently, allocate their scratch per
-// call, and gather the gradient with per-lag wrap arithmetic. It does not
-// implement optimize.ValueGrader, so solvers take their unfused path.
-func (sm *StaticModel) ReferenceObjective(mu float64) optimize.Objective {
-	return optimize.FuncObjective{
-		Fn: func(p []float64) float64 {
-			x, in := sm.referenceUsage(p)
-			var c float64
-			for i := 0; i < sm.n; i++ {
-				c += p[i]*in[i] + sm.scn.Cost.Smooth(x[i]-sm.scn.Capacity[i], mu)
-			}
-			return c
-		},
-		GradFn: func(p, grad []float64) {
-			n := sm.n
-			x, _ := sm.referenceUsage(p)
-			fp := make([]float64, n) // f'(x_i − A_i)
-			for i := 0; i < n; i++ {
-				fp[i] = sm.scn.Cost.SmoothDeriv(x[i]-sm.scn.Capacity[i], mu)
-			}
-			for r := 0; r < n; r++ {
-				// d(p_r·In_r)/dp_r = 2p_r·inW[r]; dx_r/dp_r = inW[r].
-				g := (2*p[r] + fp[r]) * sm.kd.inW[r]
-				for dt := 1; dt <= n-1; dt++ {
-					i := r - dt
-					if i < 0 {
-						i += n
-					}
-					if fp[i] != 0 {
-						g -= fp[i] * sm.kd.outW[i*n+dt]
-					}
-				}
-				grad[r] = g
-			}
-		},
+// homotopyObjective is the static model's former production objective:
+// the softplus-smoothed cost at temperature mu with its fused analytic
+// gradient over the kernel tables. Only the homotopy reference uses it.
+type homotopyObjective struct {
+	sm *StaticModel
+	mu float64
+}
+
+// Value implements optimize.Objective.
+func (o homotopyObjective) Value(p []float64) float64 {
+	return o.ValueGrad(p, make([]float64, o.sm.n))
+}
+
+// Grad implements optimize.Objective.
+func (o homotopyObjective) Grad(p, grad []float64) { o.ValueGrad(p, grad) }
+
+// ValueGrad implements optimize.ValueGrader.
+func (o homotopyObjective) ValueGrad(p, grad []float64) float64 {
+	sm := o.sm
+	n := sm.n
+	w := sm.ws.get()
+	defer sm.ws.put(w)
+	x, in := sm.usageInto(p, w)
+	var c float64
+	for i := 0; i < n; i++ {
+		v, fp := sm.scn.Cost.SmoothBoth(x[i]-sm.scn.Capacity[i], o.mu)
+		c += p[i]*in[i] + v
+		w.lam2[i] = fp
+		w.lam2[n+i] = fp
 	}
+	sm.kd.gradGather(p, w.lam2, grad)
+	return c
+}
+
+// referenceHomotopySolve is the static model's former production solve:
+// projected gradient down the default seven-stage softplus schedule with
+// a coordinate polish on the exact cost. The certified dual solve must
+// never end above it.
+func (sm *StaticModel) referenceHomotopySolve() (optimize.Result, error) {
+	return optimize.Homotopy(
+		func(mu float64) optimize.Objective { return homotopyObjective{sm: sm, mu: mu} },
+		sm.CostAt, make([]float64, sm.n), optimize.UniformBounds(sm.n, 0, sm.MaxReward()),
+		optimize.DefaultSchedule(), true,
+		optimize.WithMaxIterations(3000), optimize.WithTolerance(1e-8))
 }
 
 // referenceArrivals is the original DynamicModel.arrivals.

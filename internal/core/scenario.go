@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"tdp/internal/waiting"
 )
@@ -158,8 +159,21 @@ type Pricing struct {
 	TIPCost float64
 	// RewardOutlay is the portion of Cost paid out as rewards.
 	RewardOutlay float64
+	// LowerBound is a certified lower bound on the optimal cost, the dual
+	// value at the solver's best dual point, and Gap = Cost − LowerBound
+	// bounds how far Cost is above the optimum. Solves without a
+	// certificate (the dynamic model's homotopy) report −Inf and +Inf.
+	LowerBound, Gap float64
 	// Iterations and Evals report solver effort.
 	Iterations, Evals int
+}
+
+// RelGap returns Gap relative to |Cost| (Gap itself when Cost is 0).
+func (p *Pricing) RelGap() float64 {
+	if p.Cost == 0 {
+		return p.Gap
+	}
+	return p.Gap / math.Abs(p.Cost)
 }
 
 // Savings returns the relative cost reduction of TDP vs TIP, e.g. 0.24 for

@@ -12,7 +12,7 @@ import (
 // demand that may be deferred between periods according to waiting
 // functions, with no carry-over of unfinished work. Under Prop. 3's
 // conditions (satisfied by construction here) the cost is convex in the
-// rewards, so Solve finds the global optimum.
+// rewards, and Solve certifies its global optimum (see AffineForm).
 //
 // Because the paper's waiting family w_β(p,t) = C_β·p/(t+1)^β is linear in
 // p, the model precomputes the flattened kernel tables of deferKernel at
@@ -214,179 +214,52 @@ func (sm *StaticModel) DeferredMatrix(p []float64) [][]float64 {
 	return q
 }
 
-// staticObjective is the softplus-smoothed cost with its analytic
-// gradient at temperature mu (mu = 0 gives the exact kinked cost and its
-// subgradient). It implements optimize.ValueGrader: the fused path
-// computes the usage profile once and derives both the value and the
-// gradient from it, sharing one exponential per (period, breakpoint).
-type staticObjective struct {
-	sm *StaticModel
-	mu float64
+// AffineForm reads the model off as an AffineForm: X0 is the TIP usage,
+// M the usage response to each reward and C the inflow weights, since
+// the outlay is Σ p_i·In_i = Σ inW_i·p_i² on the box. The form is a
+// snapshot; a later SetDemandRow does not change it.
+func (sm *StaticModel) AffineForm() *AffineForm {
+	return newAffineForm(func(p, out []float64) {
+		w := sm.ws.get()
+		x, _ := sm.usageInto(p, w)
+		copy(out, x)
+		sm.ws.put(w)
+	}, append([]float64(nil), sm.kd.inW...), append([]float64(nil), sm.scn.Capacity...),
+		sm.scn.Cost, sm.MaxReward())
 }
 
-var _ optimize.ValueGrader = staticObjective{}
-
-// Value implements optimize.Objective.
-func (o staticObjective) Value(p []float64) float64 {
-	sm := o.sm
+// Solve minimizes the ISP cost over rewards in [0, MaxReward] with the
+// exact dual solve of the model's AffineForm, to a certified relative gap
+// of 1e-9 (Pricing.LowerBound and Pricing.Gap carry the certificate).
+func (sm *StaticModel) Solve() (*Pricing, error) {
+	pr := sm.AffineForm().Solve()
 	w := sm.ws.get()
-	defer sm.ws.put(w)
-	x, in := sm.usageInto(p, w)
-	var c float64
+	x, in := sm.usageInto(pr.Rewards, w)
 	for i := 0; i < sm.n; i++ {
-		c += p[i]*in[i] + sm.scn.Cost.Smooth(x[i]-sm.scn.Capacity[i], o.mu)
+		pr.RewardOutlay += pr.Rewards[i] * in[i]
 	}
-	return c
+	pr.Usage = append([]float64(nil), x...)
+	sm.ws.put(w)
+	pr.TIPCost = sm.TIPCost()
+	return pr, nil
 }
 
-// Grad implements optimize.Objective.
-func (o staticObjective) Grad(p, grad []float64) {
-	sm := o.sm
-	n := sm.n
-	w := sm.ws.get()
-	defer sm.ws.put(w)
-	x, _ := sm.usageInto(p, w)
-	for i := 0; i < n; i++ {
-		fp := sm.scn.Cost.SmoothDeriv(x[i]-sm.scn.Capacity[i], o.mu)
-		w.lam2[i] = fp
-		w.lam2[n+i] = fp
-	}
-	sm.kd.gradGather(p, w.lam2, grad)
+// SolveForPeriodCold optimizes only reward p_{period+1}, holding the
+// others at their values in p, by a search over the full [0, MaxReward]
+// bracket. It reports the optimal reward, the resulting exact cost and
+// the evaluations spent. This one-dimensional solve is the inner step of
+// the online algorithm (§III-B).
+func (sm *StaticModel) SolveForPeriodCold(p []float64, period int) (PeriodSolve, error) {
+	return sm.solveForPeriod(p, period, 0, false)
 }
 
-// ValueGrad implements optimize.ValueGrader.
-func (o staticObjective) ValueGrad(p, grad []float64) float64 {
-	sm := o.sm
-	n := sm.n
-	w := sm.ws.get()
-	defer sm.ws.put(w)
-	x, in := sm.usageInto(p, w)
-	var c float64
-	for i := 0; i < n; i++ {
-		v, fp := sm.scn.Cost.SmoothBoth(x[i]-sm.scn.Capacity[i], o.mu)
-		c += p[i]*in[i] + v
-		w.lam2[i] = fp
-		w.lam2[n+i] = fp
-	}
-	sm.kd.gradGather(p, w.lam2, grad)
-	return c
-}
-
-func (sm *StaticModel) smoothedObjective(mu float64) optimize.Objective {
-	return staticObjective{sm: sm, mu: mu}
-}
-
-// SmoothedObjective exposes the softplus-smoothed cost (with its analytic
-// gradient and a fused optimize.ValueGrader path) at temperature mu, for
-// callers plugging in their own solver or schedule; mu = 0 gives the exact
-// kinked cost with a subgradient.
-func (sm *StaticModel) SmoothedObjective(mu float64) optimize.Objective {
-	return sm.smoothedObjective(mu)
-}
-
-// Solver selects the optimization method used by SolveWith; the choices
-// correspond to the ablation in DESIGN.md §5.
-type Solver int
-
-// Available solvers.
-const (
-	// SolverHomotopy is the production path: projected gradient on a
-	// decreasing softplus-smoothing schedule with a coordinate-descent
-	// polish.
-	SolverHomotopy Solver = iota + 1
-	// SolverCoordinate is derivative-free cyclic coordinate descent with
-	// exact line search on the unsmoothed cost. On this model's coupled
-	// non-smooth cost it can stall slightly above the optimum (within a
-	// few percent); it exists as an ablation baseline.
-	SolverCoordinate
-	// SolverSubgradient is the projected subgradient baseline.
-	SolverSubgradient
-	// SolverLBFGS runs the smoothing homotopy with an L-BFGS inner solver
-	// — fewer evaluations than projected gradient as n grows.
-	SolverLBFGS
-)
-
-// Solve minimizes the ISP cost over rewards with the production solver.
-// Options are forwarded to the solver; in particular
-// optimize.WithWarmStart(prev) seeds the solve from a previous day's
-// schedule and truncates the smoothing homotopy.
-func (sm *StaticModel) Solve(opts ...optimize.Option) (*Pricing, error) {
-	return sm.SolveWith(SolverHomotopy, opts...)
-}
-
-// SolveWith minimizes the ISP cost with a specific solver.
-func (sm *StaticModel) SolveWith(solver Solver, opts ...optimize.Option) (*Pricing, error) {
-	bounds := optimize.UniformBounds(sm.n, 0, sm.MaxReward())
-	x0 := make([]float64, sm.n)
-	var (
-		res optimize.Result
-		err error
-	)
-	switch solver {
-	case SolverHomotopy:
-		res, err = optimize.Homotopy(
-			func(mu float64) optimize.Objective { return sm.smoothedObjective(mu) },
-			sm.CostAt, x0, bounds, optimize.DefaultSchedule(), true,
-			append([]optimize.Option{
-				optimize.WithMaxIterations(3000), optimize.WithTolerance(1e-8),
-			}, opts...)...,
-		)
-	case SolverCoordinate:
-		res, err = optimize.CoordinateDescent(sm.CostAt, x0, bounds,
-			append([]optimize.Option{
-				optimize.WithMaxIterations(400), optimize.WithTolerance(1e-9),
-			}, opts...)...)
-	case SolverSubgradient:
-		res, err = optimize.ProjectedSubgradient(sm.smoothedObjective(0), x0, bounds,
-			append([]optimize.Option{
-				optimize.WithMaxIterations(30000), optimize.WithInitialStep(sm.MaxReward()),
-			}, opts...)...)
-	case SolverLBFGS:
-		res, err = optimize.HomotopyWith(
-			func(obj optimize.Objective, start []float64, b optimize.Bounds, opts ...optimize.Option) (optimize.Result, error) {
-				return optimize.LBFGS(obj, start, b, 10, opts...)
-			},
-			func(mu float64) optimize.Objective { return sm.smoothedObjective(mu) },
-			sm.CostAt, x0, bounds, optimize.DefaultSchedule(), true,
-			append([]optimize.Option{
-				optimize.WithMaxIterations(3000), optimize.WithTolerance(1e-8),
-			}, opts...)...,
-		)
-	default:
-		return nil, fmt.Errorf("unknown solver %d: %w", solver, ErrBadScenario)
-	}
-	if err != nil && res.X == nil {
-		return nil, fmt.Errorf("static solve: %w", err)
-	}
-	return sm.pricingAt(res), nil
-}
-
-// SolveForPeriod optimizes only reward p_{period+1}, holding the others at
-// their values in p. It returns the optimal reward and the resulting exact
-// cost. This one-dimensional solve is the inner step of the online
-// algorithm (§III-B).
-func (sm *StaticModel) SolveForPeriod(p []float64, period int) (float64, float64, error) {
-	ps, err := sm.solveForPeriod(p, period, 0, false)
-	if err != nil {
-		return 0, 0, err
-	}
-	return ps.Reward, ps.Cost, nil
-}
-
-// SolveForPeriodWarm is SolveForPeriod seeded with the previous reward for
-// the slot: the one-dimensional search first brackets around prev and only
+// SolveForPeriodWarm is SolveForPeriodCold seeded with the previous reward
+// for the slot: the one-dimensional search first brackets around prev and only
 // falls back to the full [0, MaxReward] interval when the minimizer pins
 // an interior bracket edge (the cost is convex along a coordinate, so an
 // interior minimizer of the sub-bracket is the global one).
 func (sm *StaticModel) SolveForPeriodWarm(p []float64, period int, prev float64) (PeriodSolve, error) {
 	return sm.solveForPeriod(p, period, prev, true)
-}
-
-// SolveForPeriodCold is SolveForPeriod with the solve report (full-bracket
-// search, eval count included) — the cold baseline the warm-vs-cold
-// comparisons measure against.
-func (sm *StaticModel) SolveForPeriodCold(p []float64, period int) (PeriodSolve, error) {
-	return sm.solveForPeriod(p, period, 0, false)
 }
 
 func (sm *StaticModel) solveForPeriod(p []float64, period int, prev float64, warm bool) (PeriodSolve, error) {
@@ -464,35 +337,4 @@ func minimizeCoord(eval func(float64) float64, maxR, prev float64, warm bool) (b
 	}
 	best, fbest = optimize.Brent(eval, 0, maxR, coldTol)
 	return best, fbest, false
-}
-
-// pricingAt packages a solver result into a Pricing. The solver already
-// reports the exact cost at the optimum (the homotopy driver's final
-// re-evaluation), so the cost is not recomputed here.
-func (sm *StaticModel) pricingAt(res optimize.Result) *Pricing {
-	p := res.X
-	w := sm.ws.get()
-	x, in := sm.usageInto(p, w)
-	var outlay float64
-	for i := 0; i < sm.n; i++ {
-		outlay += p[i] * in[i]
-	}
-	usage := append([]float64(nil), x...)
-	sm.ws.put(w)
-	// Clean up numerically-zero rewards for presentation.
-	rewards := append([]float64(nil), p...)
-	for i, r := range rewards {
-		if math.Abs(r) < 1e-9 {
-			rewards[i] = 0
-		}
-	}
-	return &Pricing{
-		Rewards:      rewards,
-		Usage:        usage,
-		Cost:         res.F,
-		TIPCost:      sm.TIPCost(),
-		RewardOutlay: outlay,
-		Iterations:   res.Iterations,
-		Evals:        res.Evals,
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"tdp/internal/optimize"
 	"tdp/internal/waiting"
 )
 
@@ -163,31 +162,7 @@ func TestStaticDeferredMatrixConsistency(t *testing.T) {
 	}
 }
 
-func TestStaticAnalyticGradient(t *testing.T) {
-	sm, err := NewStaticModel(paper12())
-	if err != nil {
-		t.Fatalf("NewStaticModel: %v", err)
-	}
-	for _, mu := range []float64{0.5, 0.05} {
-		obj := sm.smoothedObjective(mu)
-		rng := rand.New(rand.NewSource(7))
-		p := make([]float64, 12)
-		for i := range p {
-			p[i] = rng.Float64() * 1.4
-		}
-		ana := make([]float64, 12)
-		num := make([]float64, 12)
-		obj.Grad(p, ana)
-		optimize.NumGrad(obj.Value, p, num)
-		for i := range ana {
-			if math.Abs(ana[i]-num[i]) > 1e-4*(1+math.Abs(num[i])) {
-				t.Errorf("mu=%v grad[%d]: analytic %v, numeric %v", mu, i, ana[i], num[i])
-			}
-		}
-	}
-}
-
-// Property: the smoothed objective is convex along random segments
+// Property: the exact cost is convex along random segments
 // (Prop. 3), i.e. f(midpoint) ≤ (f(a)+f(b))/2.
 func TestStaticConvexityProperty(t *testing.T) {
 	sm, err := NewStaticModel(paper12())
@@ -223,6 +198,9 @@ func TestStaticSolvePaper48(t *testing.T) {
 	if pr.Cost >= pr.TIPCost {
 		t.Fatalf("TDP cost %v not below TIP cost %v", pr.Cost, pr.TIPCost)
 	}
+	if pr.LowerBound > pr.Cost || pr.RelGap() > 1e-9 {
+		t.Errorf("certificate: lower bound %v, cost %v, relative gap %g", pr.LowerBound, pr.Cost, pr.RelGap())
+	}
 	// Paper: ~24% savings. Shape criterion: 10–40%.
 	if s := pr.Savings(); s < 0.10 || s > 0.40 {
 		t.Errorf("savings = %v, want within [0.10, 0.40] (paper: 0.24)", s)
@@ -255,52 +233,37 @@ func TestStaticSolvePaper48(t *testing.T) {
 	}
 }
 
+// TestStaticSolversAgree pins the certified dual solve against the
+// former production homotopy (a test-only reference now): on the paper's
+// scenarios the dual solve certifies a gap ≤ 1e-9 relative, never ends
+// above the homotopy by more than that tolerance, and the homotopy's
+// excess stays small.
 func TestStaticSolversAgree(t *testing.T) {
-	sm, err := NewStaticModel(paper12())
-	if err != nil {
-		t.Fatalf("NewStaticModel: %v", err)
-	}
-	h, err := sm.SolveWith(SolverHomotopy)
-	if err != nil {
-		t.Fatalf("homotopy: %v", err)
-	}
-	c, err := sm.SolveWith(SolverCoordinate)
-	if err != nil {
-		t.Fatalf("coordinate: %v", err)
-	}
-	s, err := sm.SolveWith(SolverSubgradient)
-	if err != nil {
-		t.Fatalf("subgradient: %v", err)
-	}
-	lb, err := sm.SolveWith(SolverLBFGS)
-	if err != nil {
-		t.Fatalf("lbfgs: %v", err)
-	}
-	if math.Abs(h.Cost-lb.Cost) > 1e-3*(1+h.Cost) {
-		t.Errorf("homotopy cost %v vs lbfgs %v", h.Cost, lb.Cost)
-	}
-	// All three land near the same optimal cost on a convex problem.
-	// Coordinate descent may stall a few percent high at kinks of the
-	// coupled non-smooth term (documented on SolverCoordinate), and
-	// subgradient converges slowly, so both get loose tolerances.
-	if c.Cost < h.Cost-1e-6 {
-		t.Errorf("coordinate cost %v beat homotopy %v: homotopy not optimal", c.Cost, h.Cost)
-	}
-	if math.Abs(h.Cost-c.Cost) > 5e-2*(1+h.Cost) {
-		t.Errorf("homotopy cost %v vs coordinate %v", h.Cost, c.Cost)
-	}
-	if math.Abs(h.Cost-s.Cost) > 2e-2*(1+h.Cost) {
-		t.Errorf("homotopy cost %v vs subgradient %v", h.Cost, s.Cost)
-	}
-}
-
-func TestStaticSolveWithUnknownSolver(t *testing.T) {
-	sm, err := NewStaticModel(paper12())
-	if err != nil {
-		t.Fatalf("NewStaticModel: %v", err)
-	}
-	if _, err := sm.SolveWith(Solver(99)); !errors.Is(err, ErrBadScenario) {
-		t.Errorf("err = %v, want ErrBadScenario", err)
+	for name, scn := range map[string]*Scenario{"static12": paper12(), "static48": paper48()} {
+		sm, err := NewStaticModel(scn)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		pr, err := sm.Solve()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if g := pr.RelGap(); g > 1e-9 {
+			t.Errorf("%s: certified gap %g relative, want ≤ 1e-9", name, g)
+		}
+		ref, err := sm.referenceHomotopySolve()
+		if err != nil {
+			t.Fatalf("%s homotopy: %v", name, err)
+		}
+		if pr.Cost > ref.F+1e-9*ref.F {
+			t.Errorf("%s: certified cost %.10f above the homotopy's %.10f", name, pr.Cost, ref.F)
+		}
+		if ref.F < pr.LowerBound {
+			t.Errorf("%s: homotopy cost %.10f below the dual bound %.10f", name, ref.F, pr.LowerBound)
+		}
+		if ref.F-pr.Cost > 1e-5*pr.Cost {
+			t.Errorf("%s: homotopy %.10f far above the certified optimum %.10f", name, ref.F, pr.Cost)
+		}
 	}
 }
 
@@ -313,19 +276,19 @@ func TestStaticSolveForPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	// Re-optimizing any single coordinate of the global optimum must not
-	// improve the cost (first-order optimality).
+	// Re-optimizing any single coordinate of the certified optimum cannot
+	// beat its dual lower bound.
 	for _, period := range []int{0, 5, 11} {
-		r, cost, err := sm.SolveForPeriod(pr.Rewards, period)
+		ps, err := sm.SolveForPeriodCold(pr.Rewards, period)
 		if err != nil {
-			t.Fatalf("SolveForPeriod(%d): %v", period, err)
+			t.Fatalf("SolveForPeriodCold(%d): %v", period, err)
 		}
-		if cost < pr.Cost-1e-4 {
-			t.Errorf("period %d: 1-D reopt improved cost %v → %v (reward %v vs %v)",
-				period+1, pr.Cost, cost, pr.Rewards[period], r)
+		if ps.Cost < pr.LowerBound-1e-9 {
+			t.Errorf("period %d: 1-D reopt cost %v below the dual bound %v (reward %v vs %v)",
+				period+1, ps.Cost, pr.LowerBound, ps.Reward, pr.Rewards[period])
 		}
 	}
-	if _, _, err := sm.SolveForPeriod(pr.Rewards, 99); !errors.Is(err, ErrBadScenario) {
+	if _, err := sm.SolveForPeriodCold(pr.Rewards, 99); !errors.Is(err, ErrBadScenario) {
 		t.Errorf("out-of-range period: err = %v, want ErrBadScenario", err)
 	}
 }

@@ -21,11 +21,11 @@
 //     ever seen.
 //   - One apply path: ApplyWire (wireapply.go) folds a decoded wire
 //     frame into the counters without materializing reports, with ONE
-//     lock acquisition per touched shard. It is what the TUBE server's
-//     one usage endpoint, POST /usage/wire, calls on every frame before
-//     it acknowledges the request. Validation (CheckWire) is
-//     all-or-nothing per frame: a known class, a non-empty user, and a
-//     volume in [0, MaxReportMB].
+//     lock acquisition per touched shard. The TUBE server's one usage
+//     endpoint, POST /usage/wire, calls it once per request body, on the
+//     body's owned records as one frame, before it acknowledges the
+//     request. Validation (CheckWire) is all-or-nothing per call: a known
+//     class, a non-empty user, and a volume in [0, MaxReportMB].
 //   - Atomic period rollover: Rollover swaps every shard's period buffer
 //     for an empty one inside a single all-shards critical section that
 //     is O(shards), so each report lands entirely in the closed period

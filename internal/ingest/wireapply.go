@@ -100,9 +100,10 @@ func (e *Engine) ApplyWire(users [][]byte, hashes []uint32, recs []WireRecord) e
 		return err
 	}
 	ws := e.wireWS()
-	// Per distinct user, outside any lock: the placement hash picks the
-	// shard, the seeded key the user-table slot. A frame's user table
-	// lists each of its users once.
+	// Per user-table entry, outside any lock: the placement hash picks
+	// the shard, the seeded key the user-table slot. An encoder lists
+	// each user once per frame; a table that lists a user twice (the
+	// server's body-wide frame) resolves both entries to one slot.
 	shardOf, at := growI32(ws.shard, len(users)), growI32(ws.at, len(users))
 	key := ws.key[:0]
 	for u, h := range hashes {
@@ -161,9 +162,9 @@ func (e *Engine) ApplyWire(users [][]byte, hashes []uint32, recs []WireRecord) e
 // CheckWire validates a frame's records against its user table and this
 // engine's classes: every user index in range and naming a non-empty
 // user, every class index in range, every volume in [0, MaxReportMB].
-// A frame that fails counts all its records as rejected. The serving
-// layer calls it on every frame of a request body before it applies any
-// of them.
+// A frame that fails counts all its records as rejected. ApplyWire runs
+// it first; the serving layer calls it on its own only for the records
+// it rejects as not owned, which it never applies.
 func (e *Engine) CheckWire(users [][]byte, recs []WireRecord) error {
 	err := e.checkWire(users, recs)
 	if err != nil {

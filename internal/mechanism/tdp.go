@@ -14,16 +14,17 @@ func init() {
 
 // TDP is the paper's reward optimizer as a zoo backend: a full
 // cost-minimizing solve of the §II static model (or the §III-A dynamic
-// model) per day — the same plan path tube.Controller runs. Across days
-// it warm-starts from its previous schedule, which truncates the
-// smoothing homotopy exactly like the controller's warm path.
+// model) per day — the same plan path tube.Controller runs. The static
+// solve is the certified dual solve and needs no seed; the dynamic
+// model's homotopy warm-starts from the previous day's schedule, which
+// truncates its smoothing schedule.
 //
 // The observed profile is ignored: under the Fig. 1 loop, observations
 // reach the optimizer through the re-estimated scenario (demand and
 // patience beliefs), not through the plan call.
 type TDP struct {
 	dynamic bool
-	warm    []float64
+	warm    []float64 // the dynamic homotopy's seed: the last schedule
 	last    *core.Pricing
 }
 
@@ -39,15 +40,15 @@ func (t *TDP) PlanDay(scn *core.Scenario, _ *Observation) ([]float64, error) {
 	if err := checkScenario(scn); err != nil {
 		return nil, err
 	}
-	var opts []optimize.Option
-	if len(t.warm) == scn.Periods {
-		opts = append(opts, optimize.WithWarmStart(t.warm))
-	}
 	var (
 		pr  *core.Pricing
 		err error
 	)
 	if t.dynamic {
+		var opts []optimize.Option
+		if len(t.warm) == scn.Periods {
+			opts = append(opts, optimize.WithWarmStart(t.warm))
+		}
 		var m *core.DynamicModel
 		if m, err = core.NewDynamicModel(scn); err == nil {
 			pr, err = m.Solve(opts...)
@@ -55,7 +56,7 @@ func (t *TDP) PlanDay(scn *core.Scenario, _ *Observation) ([]float64, error) {
 	} else {
 		var m *core.StaticModel
 		if m, err = core.NewStaticModel(scn); err == nil {
-			pr, err = m.Solve(opts...)
+			pr, err = m.Solve()
 		}
 	}
 	if err != nil {

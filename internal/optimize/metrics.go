@@ -7,16 +7,19 @@ import (
 )
 
 // Per-solve metrics, recorded on the default obs registry by the
-// exported solver entry points. Solves run once per period close (or
-// per experiment), not per usage report, so the registry's get-or-create
-// lookup per solve is cheap relative to the solve itself.
+// exported solver entry points and, through RecordSolve, by solvers
+// outside this package (core's certified dual solve, solver="dual").
+// Solves run once per period close (or per experiment), not per usage
+// report, so the registry's get-or-create lookup per solve is cheap
+// relative to the solve itself.
 //
 //	optimize_solves_total{solver=…}             solves started
 //	optimize_solves_unconverged_total{solver=…} solves that hit an iteration/progress limit
 //	optimize_solve_iterations{solver=…}         outer iterations per solve
 //	optimize_solve_evals{solver=…}              objective/line-search evaluations per solve
 //	optimize_solve_residual{solver=…}           final stationarity residual (projected-gradient
-//	                                            ∞-norm; RSS for Levenberg–Marquardt)
+//	                                            ∞-norm; RSS for Levenberg–Marquardt; relative
+//	                                            certified gap for the dual solve)
 
 var (
 	iterBuckets     = obs.ExpBuckets(1, 2, 16)      // 1 … 32768 iterations
@@ -24,10 +27,10 @@ var (
 	residualBuckets = obs.ExpBuckets(1e-14, 10, 18) // 1e-14 … ~1e3
 )
 
-// recordSolve publishes one solve's outcome. residual may be NaN when
+// RecordSolve publishes one solve's outcome. residual may be NaN when
 // the solver has no meaningful stationarity measure (histograms drop
 // NaN observations).
-func recordSolve(solver string, iters, evals int, residual float64, converged bool) {
+func RecordSolve(solver string, iters, evals int, residual float64, converged bool) {
 	reg := obs.Default()
 	lbl := obs.Labels{"solver": solver}
 	reg.Counter("optimize_solves_total", "solver invocations", lbl).Inc()
@@ -63,7 +66,7 @@ func finalResidual(obj Objective, x []float64, b Bounds) float64 {
 // A Result is returned even alongside ErrMaxIterations.
 func ProjectedGradient(obj Objective, x0 []float64, b Bounds, opts ...Option) (Result, error) {
 	res, err := projectedGradient(obj, x0, b, opts...)
-	recordSolve("projgrad", res.Iterations, res.Evals, finalResidual(obj, res.X, b), res.Converged)
+	RecordSolve("projgrad", res.Iterations, res.Evals, finalResidual(obj, res.X, b), res.Converged)
 	return res, err
 }
 
@@ -74,7 +77,7 @@ func ProjectedGradient(obj Objective, x0 []float64, b Bounds, opts ...Option) (R
 // number of periods grows (see BenchmarkAblationSolvers).
 func LBFGS(obj Objective, x0 []float64, b Bounds, memory int, opts ...Option) (Result, error) {
 	res, err := lbfgs(obj, x0, b, memory, opts...)
-	recordSolve("lbfgs", res.Iterations, res.Evals, finalResidual(obj, res.X, b), res.Converged)
+	RecordSolve("lbfgs", res.Iterations, res.Evals, finalResidual(obj, res.X, b), res.Converged)
 	return res, err
 }
 
@@ -88,7 +91,7 @@ func LBFGS(obj Objective, x0 []float64, b Bounds, memory int, opts ...Option) (R
 func CoordinateDescent(fn func([]float64) float64, x0 []float64, b Bounds, opts ...Option) (Result, error) {
 	res, err := coordinateDescent(fn, x0, b, opts...)
 	// No gradient available: the residual has no meaning here.
-	recordSolve("coorddesc", res.Iterations, res.Evals, math.NaN(), res.Converged)
+	RecordSolve("coorddesc", res.Iterations, res.Evals, math.NaN(), res.Converged)
 	return res, err
 }
 
@@ -102,7 +105,7 @@ func ProjectedSubgradient(obj Objective, x0 []float64, b Bounds, opts ...Option)
 	res, err := projectedSubgradient(obj, x0, b, opts...)
 	// Subgradients are not stationarity certificates on non-smooth
 	// objectives, so no residual is recorded.
-	recordSolve("subgrad", res.Iterations, res.Evals, math.NaN(), res.Converged)
+	RecordSolve("subgrad", res.Iterations, res.Evals, math.NaN(), res.Converged)
 	return res, err
 }
 
@@ -111,6 +114,6 @@ func ProjectedSubgradient(obj Objective, x0 []float64, b Bounds, opts ...Option)
 // are handled by projecting trial steps.
 func LevenbergMarquardt(r Residualer, x0 []float64, cfg LMConfig) (LMResult, error) {
 	res, err := levenbergMarquardt(r, x0, cfg)
-	recordSolve("lm", res.Iterations, res.Iterations, res.RSS, res.Converged)
+	RecordSolve("lm", res.Iterations, res.Iterations, res.RSS, res.Converged)
 	return res, err
 }

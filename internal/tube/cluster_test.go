@@ -778,3 +778,78 @@ func TestGUIPartialAckResend(t *testing.T) {
 		}
 	}
 }
+
+// TestWireBodyAppliesAsOneFrame: the handler applies a multi-frame
+// body's owned records as one frame, so a user that appears in two
+// frames is folded into one account, misrouted records are rejected by
+// their index across the body, and a bad record that only a misrouted
+// user carries still fails the whole body.
+func TestWireBodyAppliesAsOneFrame(t *testing.T) {
+	nodes, cfg := startCluster(t, 2)
+	n0 := nodes[0]
+	ring, err := cluster.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mine, other string
+	for u := 0; mine == "" || other == ""; u++ {
+		if u == 1000 {
+			t.Fatal("no user on each node")
+		}
+		cand := fmt.Sprintf("bu%04d", u)
+		switch owned := ring.OwnerID(cand) == "n0"; {
+		case owned && mine == "":
+			mine = cand
+		case !owned && other == "":
+			other = cand
+		}
+	}
+	tab, err := wire.NewClassTable(testClasses())
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(frames ...[]ingest.Report) (int, cluster.WireAck) {
+		t.Helper()
+		enc := wire.NewEncoder(tab)
+		var body []byte
+		for _, f := range frames {
+			if body, err = enc.AppendFrame(body, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp, err := http.Post(n0.ts.URL+"/usage/wire", cluster.WireContentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var ack cluster.WireAck
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, ack
+	}
+	code, ack := post(
+		[]ingest.Report{{User: mine, Class: "web", VolumeMB: 1}, {User: other, Class: "web", VolumeMB: 8}},
+		[]ingest.Report{{User: other, Class: "ftp", VolumeMB: 8}, {User: mine, Class: "web", VolumeMB: 2}})
+	if code != http.StatusOK || ack.Accepted != 2 || !slices.Equal(ack.Rejected, []int{1, 2}) {
+		t.Fatalf("two-frame body: status %d, ack %+v", code, ack)
+	}
+	if got := n0.opt.Measurement().ClassTotals(); !slices.Equal(got, []float64{3, 0, 0}) {
+		t.Fatalf("class totals %v, want [3 0 0]", got)
+	}
+	code, _ = post(
+		[]ingest.Report{{User: mine, Class: "web", VolumeMB: 1}},
+		[]ingest.Report{{User: other, Class: "ftp", VolumeMB: -1}})
+	if code != http.StatusBadRequest {
+		t.Fatalf("bad misrouted record: status %d, want 400", code)
+	}
+	if got := n0.opt.Measurement().ClassTotals(); !slices.Equal(got, []float64{3, 0, 0}) {
+		t.Fatalf("rejected body left class totals %v, want [3 0 0]", got)
+	}
+	// Both frames listed mine; one account holds both records.
+	if got := periodUsers(n0.opt.Measurement()); len(got) != 1 || got[mine] != 3 {
+		t.Fatalf("period users %v, want only %s with 3 MB", got, mine)
+	}
+}

@@ -8,7 +8,6 @@ import (
 
 	"tdp/internal/core"
 	"tdp/internal/obs"
-	"tdp/internal/optimize"
 )
 
 // Controller closes the paper's Fig. 1 loop across days: publish a day of
@@ -29,14 +28,6 @@ type Controller struct {
 	betas    []float64 // guarded by mu
 	profiler *ClassProfiler
 	days     int // guarded by mu
-
-	// lastRewards is the most recent planned schedule; day 2 onward it
-	// warm-starts the solve (the patience belief moves only a little per
-	// re-estimation, so the previous optimum is near the new one).
-	lastRewards []float64 // guarded by mu
-	// coldPlanEvals is the evaluation count of the first (cold) plan, the
-	// baseline for the evals-saved metric.
-	coldPlanEvals int // guarded by mu
 }
 
 // ControllerConfig describes the deployment.
@@ -151,11 +142,9 @@ func (c *Controller) scenario() *core.Scenario {
 }
 
 // PlanDay solves the pricing model under the current patience belief and
-// returns the reward schedule to publish. From the second day on, the
-// solve warm-starts from the previous day's schedule, which truncates the
-// smoothing homotopy and typically cuts the evaluation count by an order
-// of magnitude; the optimum is unchanged (the solve still converges to the
-// same tolerance on the exact cost).
+// returns the reward schedule to publish. The solve is the static model's
+// certified dual solve, which needs no warm start: it certifies a
+// 48-period day in about a millisecond.
 func (c *Controller) PlanDay() ([]float64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -164,45 +153,27 @@ func (c *Controller) PlanDay() ([]float64, error) {
 
 // planLocked is PlanDay's body. Callers must hold c.mu.
 func (c *Controller) planLocked() ([]float64, error) {
-	warm := c.lastRewards != nil
-	var opts []optimize.Option
-	if warm {
-		opts = append(opts, optimize.WithWarmStart(c.lastRewards))
-	}
 	m, err := core.NewStaticModel(c.scenario())
 	if err != nil {
 		return nil, badInput(err)
 	}
-	pr, err := m.Solve(opts...)
+	pr, err := m.Solve()
 	if err != nil {
 		return nil, badInput(err)
 	}
-	c.recordPlan(pr, warm)
-	c.lastRewards = append([]float64(nil), pr.Rewards...)
+	reg := obs.Default()
+	reg.Counter("controller_plans_total", "day-plan solves", nil).Inc()
+	reg.Histogram("controller_plan_iterations", "solver iterations per day plan", nil, planBuckets).
+		Observe(float64(pr.Iterations))
+	setCertificateGap(pr)
 	return pr.Rewards, nil
 }
 
-// recordPlan publishes one day-plan solve to the default registry, keyed
-// by whether it was warm-started. Callers must hold c.mu.
-func (c *Controller) recordPlan(pr *core.Pricing, warm bool) {
-	start := "cold"
-	if warm {
-		start = "warm"
-	}
-	reg := obs.Default()
-	lbl := obs.Labels{"start": start}
-	reg.Counter("controller_plans_total", "day-plan solves, by start mode", lbl).Inc()
-	reg.Histogram("controller_plan_iterations", "solver iterations per day plan", lbl, planBuckets).
-		Observe(float64(pr.Iterations))
-	reg.Histogram("controller_plan_evals", "objective evaluations per day plan", lbl, planBuckets).
-		Observe(float64(pr.Evals))
-	if !warm {
-		c.coldPlanEvals = pr.Evals
-	} else if saved := c.coldPlanEvals - pr.Evals; saved > 0 {
-		reg.Counter("controller_plan_evals_saved_total",
-			"objective evaluations avoided by warm-started day plans, vs the first cold plan", nil).
-			Add(int64(saved))
-	}
+// setCertificateGap publishes a full price solve's certified relative
+// optimality gap (+Inf for a solve without a certificate).
+func setCertificateGap(pr *core.Pricing) {
+	obs.Default().Gauge("solver_certificate_gap",
+		"certified relative optimality gap of the latest full price solve", nil).Set(pr.RelGap())
 }
 
 // planBuckets spans 1…~5e5 iterations/evaluations per plan.

@@ -3,6 +3,7 @@ package tube
 import (
 	"bytes"
 	"context"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -198,4 +199,37 @@ func TestPeriodSolveMetricsResolvedOnce(t *testing.T) {
 	if allocs := testing.AllocsPerRun(n, record); allocs != 0 {
 		t.Fatalf("recording a warm solve allocates %.1f times, want 0", allocs)
 	}
+}
+
+// TestSolverCertificateGapGauge: each full price solve publishes its
+// certified relative gap — NewOptimizer's initial static plan and a
+// controller day plan certify to 1e-9, and the dynamic model's
+// uncertified homotopy reads +Inf.
+func TestSolverCertificateGapGauge(t *testing.T) {
+	gap := obs.Default().Gauge("solver_certificate_gap", "", nil)
+	certified := func(site string) {
+		t.Helper()
+		if g := gap.Value(); !(g >= 0 && g <= 1e-9) {
+			t.Fatalf("%s: solver_certificate_gap = %g, want in [0, 1e-9]", site, g)
+		}
+	}
+	gap.Set(math.NaN())
+	if _, err := NewOptimizer(OptimizerConfig{Scenario: testScenario(), Classes: testClasses()}); err != nil {
+		t.Fatal(err)
+	}
+	certified("static optimizer")
+	if _, err := NewOptimizer(OptimizerConfig{Scenario: testScenario(), Classes: testClasses(), UseDynamic: true}); err != nil {
+		t.Fatal(err)
+	}
+	if g := gap.Value(); !math.IsInf(g, 1) {
+		t.Fatalf("dynamic optimizer: solver_certificate_gap = %g, want +Inf", g)
+	}
+	c, err := NewController(controllerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.PlanDay(); err != nil {
+		t.Fatal(err)
+	}
+	certified("controller day plan")
 }

@@ -137,6 +137,7 @@ func NewOptimizer(cfg OptimizerConfig) (*Optimizer, error) {
 			return nil, badInput(err)
 		}
 		rewards = online.Rewards()
+		setCertificateGap(online.InitialPlan())
 	}
 	priceHist, err := rrd.New(1, rrd.ArchiveSpec{Func: rrd.Last, Steps: 1, Rows: historyRows})
 	if err != nil {

@@ -284,23 +284,19 @@ func (s *Server) handleBill(w http.ResponseWriter, r *http.Request) {
 // wireScratch is one POST /usage/wire request's working memory, pooled
 // across requests so that a steady stream of them allocates nothing per
 // frame: the body, the decoder, and the admitted frames copied out of
-// the decoder's scratch into arenas, so the next frame can be decoded
-// before any of them is applied. The users stay views into the body;
-// only the slice headers copy.
+// the decoder's scratch into one body-wide frame, so the next frame can
+// be decoded before any of them is applied. The users stay views into
+// the body; only the slice headers copy.
 type wireScratch struct {
 	body     []byte
 	dec      *wire.Decoder
 	users    [][]byte            // admitted frames' user tables, back to back
 	hashes   []uint32            // users' ingest.UserHash, as the decoder returned them
-	recs     []ingest.WireRecord // admitted frames' owned records, back to back
-	frames   []wireFrame
-	owned    []bool // per user of the frame at hand: owned by this node
+	recs     []ingest.WireRecord // admitted frames' owned records, User indexing users
+	foreign  []ingest.WireRecord // the frame at hand's records this node does not own
+	owned    []bool              // per user of the frame at hand: owned by this node
 	rejected []int
 }
-
-// wireFrame is where one admitted frame ends in the scratch arenas; it
-// starts where the previous one ends.
-type wireFrame struct{ users, recs int }
 
 // maxPooledBody is the largest body buffer the wire scratch keeps: a
 // rare huge body is not pinned in the pool for later small ones.
@@ -339,12 +335,15 @@ func readBody(r io.Reader, size int64, buf []byte) ([]byte, error) {
 
 // handleUsageWire is the server's one usage door. It decodes every frame
 // of the body in its own terms (user table plus index records, no
-// []ingest.Report), validates it (CheckWire) and checks ownership before
-// anything is applied, so a body answered 400 or 413 leaves nothing
-// behind. It then applies every admitted frame (ApplyWire) and only then
-// acks: an acked report is in the engine, and a period close that starts
-// after the ack counts it. Overload shows as request latency, bounded by
-// the sender's in-flight window, never as dropped reports.
+// []ingest.Report), splits each frame's records by ownership, and then
+// applies the owned records of the whole body as one frame through
+// ApplyWire, whose all-or-nothing check is their only validation: a body
+// answered 400 or 413 leaves nothing behind. Records this node does not
+// own are never applied here, so CheckWire validates just those, once.
+// Only after the apply does the handler ack: an acked report is in the
+// engine, and a period close that starts after the ack counts it.
+// Overload shows as request latency, bounded by the sender's in-flight
+// window, never as dropped reports.
 //
 // Ownership follows this node's CURRENT ring view, checked once per
 // DISTINCT user through the hashes the decoder returns; misrouted reports
@@ -374,13 +373,12 @@ func (s *Server) handleUsageWire(w http.ResponseWriter, r *http.Request) {
 		ring, selfID = cl.ring.Load(), cl.selfID
 	}
 	eng := s.opt.Measurement()
-	sc.users, sc.hashes, sc.recs = sc.users[:0], sc.hashes[:0], sc.recs[:0]
-	sc.frames, sc.rejected = sc.frames[:0], sc.rejected[:0]
+	sc.users, sc.hashes, sc.recs, sc.rejected = sc.users[:0], sc.hashes[:0], sc.recs[:0], sc.rejected[:0]
 	base := 0 // report index of the current frame's first record
 	for buf := body; len(buf) > 0; {
 		users, hashes, recs, n, err := sc.dec.DecodeRecords(buf)
 		if err == nil {
-			err = eng.CheckWire(users, recs)
+			err = sc.admit(eng, ring, selfID, users, hashes, recs, base)
 		}
 		if err != nil {
 			status := http.StatusBadRequest
@@ -392,36 +390,17 @@ func (s *Server) handleUsageWire(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		buf = buf[n:]
-		owned, all := ownership(ring, selfID, hashes, sc.owned)
-		sc.owned = owned
-		from := len(sc.recs)
-		if all {
-			sc.recs = append(sc.recs, recs...)
-		} else {
-			for i := range recs {
-				if owned[recs[i].User] {
-					sc.recs = append(sc.recs, recs[i])
-				} else {
-					sc.rejected = append(sc.rejected, base+i)
-				}
-			}
-		}
-		if len(sc.recs) > from {
-			sc.users = append(sc.users, users...)
-			sc.hashes = append(sc.hashes, hashes...)
-			sc.frames = append(sc.frames, wireFrame{users: len(sc.users), recs: len(sc.recs)})
-		}
 		base += len(recs)
 	}
-	accepted, u0 := 0, 0
-	for _, f := range sc.frames {
-		if err := eng.ApplyWire(sc.users[u0:f.users], sc.hashes[u0:f.users], sc.recs[accepted:f.recs]); err != nil {
-			// Unreachable: every frame passed CheckWire above.
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+	if err := eng.ApplyWire(sc.users, sc.hashes, sc.recs); err != nil {
+		status := http.StatusInternalServerError
+		if errors.Is(err, ingest.ErrBadReport) {
+			status = http.StatusBadRequest
 		}
-		u0, accepted = f.users, f.recs
+		http.Error(w, err.Error(), status)
+		return
 	}
+	accepted := len(sc.recs)
 	s.wireReports.Add(int64(accepted))
 	s.wireRejected.Add(int64(len(sc.rejected)))
 	var version uint64
@@ -433,6 +412,41 @@ func (s *Server) handleUsageWire(w http.ResponseWriter, r *http.Request) {
 		Rejected:    sc.rejected,
 		RingVersion: version,
 	})
+}
+
+// admit copies one decoded frame's owned records into the body-wide
+// frame, rebasing their user indexes onto sc.users, and rejects the rest
+// by report index (base is the frame's first). The rejected records are
+// validated here, since nothing else will see them.
+func (sc *wireScratch) admit(eng *ingest.Engine, ring *cluster.Ring, selfID string,
+	users [][]byte, hashes []uint32, recs []ingest.WireRecord, base int) error {
+	owned, all := ownership(ring, selfID, hashes, sc.owned)
+	sc.owned = owned
+	u0, from := int32(len(sc.users)), len(sc.recs)
+	if all {
+		sc.recs = append(sc.recs, recs...)
+	} else {
+		sc.foreign = sc.foreign[:0]
+		for i := range recs {
+			if owned[recs[i].User] {
+				sc.recs = append(sc.recs, recs[i])
+			} else {
+				sc.rejected = append(sc.rejected, base+i)
+				sc.foreign = append(sc.foreign, recs[i])
+			}
+		}
+		if err := eng.CheckWire(users, sc.foreign); err != nil {
+			return err
+		}
+	}
+	if len(sc.recs) > from {
+		for i := from; i < len(sc.recs); i++ {
+			sc.recs[i].User += u0
+		}
+		sc.users = append(sc.users, users...)
+		sc.hashes = append(sc.hashes, hashes...)
+	}
+	return nil
 }
 
 // ownership reports, in owned (scratch, grown to one entry per frame
