@@ -178,8 +178,8 @@ type FitResult struct {
 }
 
 // Fit estimates (α, β) for every period from aggregate observations by
-// Levenberg–Marquardt on the net-flow equations, starting from a neutral
-// guess (uniform α, β = 1). Since ΣT_i ≡ 0, one equation per observation
+// Levenberg–Marquardt on the net-flow equations, starting from the cold
+// start (uniform α, β spread around 1 across types). Since ΣT_i ≡ 0, one equation per observation
 // is redundant — exactly the degree of freedom the paper's elimination
 // step removes; LM handles the rank deficiency through damping.
 func (m *Model) Fit(obs []Observation) (*FitResult, error) {
@@ -194,17 +194,16 @@ func (m *Model) Fit(obs []Observation) (*FitResult, error) {
 			return nil, fmt.Errorf("observation %d malformed: %w", s, ErrBadInput)
 		}
 	}
-	n := m.Periods
-	x0 := m.neutralStart()
+	x0 := m.coldStart()
 	bounds := m.fitBounds()
 
-	// The residuals are evaluated by the packed fast path shared with
-	// StreamFitter (identical math to NetFlows ∘ unpack, pinned by the
-	// stream equivalence tests, without the per-call Params/PowerLaw
-	// allocations the numeric Jacobian would multiply by dim+1).
+	// The residuals and their analytic Jacobian come from the packed fast
+	// path shared with StreamFitter (identical math to NetFlows ∘ unpack,
+	// pinned by the stream equivalence tests, without per-call Params or
+	// PowerLaw allocations).
 	fast := newStreamResid(m)
 	fast.bind(obs)
-	resid := optimize.FuncResiduals{N: len(obs) * n, Fn: fast.eval}
+	resid := fast.residuals()
 	maxIter := m.MaxIter
 	if maxIter <= 0 {
 		maxIter = 400
@@ -231,14 +230,22 @@ func (m *Model) betaIdx(i, j int) int  { return i*m.Types*2 + m.Types + j }
 // then m betas.
 func (m *Model) packedDim() int { return m.Periods * m.Types * 2 }
 
-// neutralStart is the cold-start point shared by Fit and StreamFitter:
-// uniform mixing proportions and β = 1 everywhere.
-func (m *Model) neutralStart() []float64 {
+// coldStart is the start point shared by Fit and StreamFitter: uniform
+// mixing proportions, and β = 1 with one type. With m > 1 types the
+// β's are spread geometrically over [1/2, 2], β_j = 2^(2j/(m−1) − 1),
+// still centred on 1. Types that share a β are interchangeable: their β
+// columns of the Jacobian are identical and every raw-α derivative is
+// exactly 0, so LM on an exact Jacobian would move a period's β's in
+// lockstep and leave only rounding to tell the types apart.
+func (m *Model) coldStart() []float64 {
 	x0 := make([]float64, m.packedDim())
 	for i := 0; i < m.Periods; i++ {
 		for j := 0; j < m.Types; j++ {
 			x0[m.alphaIdx(i, j)] = 1 / float64(m.Types)
 			x0[m.betaIdx(i, j)] = 1
+			if m.Types > 1 {
+				x0[m.betaIdx(i, j)] = math.Exp2(2*float64(j)/float64(m.Types-1) - 1)
+			}
 		}
 	}
 	return x0

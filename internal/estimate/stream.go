@@ -32,7 +32,7 @@ type RefineResult struct {
 	// refinement and the cached fit was returned without any LM work.
 	Reused bool
 	// Warm is true when the LM was seeded from the previous fit rather
-	// than the neutral cold start.
+	// than the cold start.
 	Warm bool
 }
 
@@ -125,6 +125,10 @@ func (sf *StreamFitter) WindowFull() bool { return sf.count == sf.cfg.Window }
 // Days returns the number of complete days ever folded (monotonic; the
 // window retains the most recent min(Days, Window) of them).
 func (sf *StreamFitter) Days() int { return sf.days }
+
+// Fresh reports whether the window is unchanged since the last
+// successful Refine, so a Refine now would return the cached fit.
+func (sf *StreamFitter) Fresh() bool { return sf.warm && !sf.dirty }
 
 // StalePeriods returns the number of period closes folded since the last
 // successful refinement.
@@ -227,7 +231,7 @@ func (sf *StreamFitter) Refine() (*RefineResult, error) {
 	if sf.count == 0 {
 		return nil, fmt.Errorf("no complete days in window: %w", ErrBadInput)
 	}
-	if !sf.dirty && sf.warm {
+	if sf.Fresh() {
 		res := &RefineResult{FitResult: sf.last, Reused: true, Warm: true}
 		res.Params = sf.last.Params.clone()
 		return res, nil
@@ -238,14 +242,11 @@ func (sf *StreamFitter) Refine() (*RefineResult, error) {
 	if sf.warm {
 		x0 = sf.x
 	} else {
-		x0 = sf.model.neutralStart()
+		x0 = sf.model.coldStart()
 	}
 	bounds := sf.model.fitBounds()
 	sf.resid.bind(obs)
-	res, err := optimize.LevenbergMarquardt(optimize.FuncResiduals{
-		N:  len(obs) * sf.model.Periods,
-		Fn: sf.resid.eval,
-	}, x0, optimize.LMConfig{
+	res, err := optimize.LevenbergMarquardt(sf.resid.residuals(), x0, optimize.LMConfig{
 		MaxIter: sf.cfg.MaxIter,
 		Tol:     sf.cfg.Tol,
 		AbsTol:  sf.cfg.AbsTol,
@@ -305,36 +306,49 @@ func MaxAbsDiff(a, b Params) float64 {
 	return worst
 }
 
-// streamResid evaluates the net-flow residuals directly from the packed
-// parameter vector, with no per-call allocation: Fit's closure unpacks
-// into freshly allocated Params and rebuilds waiting.PowerLaw values for
-// every (period, type) on every call, which a per-period refinement (and
-// the numeric Jacobian's dim+1 calls per iteration) cannot afford. The
-// math is identical to Model.NetFlows ∘ unpack; the equivalence tests
-// pin the two to ≤ 1e-9.
+// streamResid evaluates the net-flow residuals and their analytic
+// Jacobian directly from the packed parameter vector, with no per-call
+// allocation (NetFlows ∘ unpack allocates Params and rebuilds
+// waiting.PowerLaw values for every (period, type) on every call). The
+// math is identical to Model.NetFlows ∘ unpack; the equivalence tests pin
+// the two to ≤ 1e-9, and the Jacobian tests pin jac to central
+// differences.
 type streamResid struct {
 	m   *Model
 	obs []Observation
 
+	// lnt[dt-1] = ln(dt+1): (dt+1)^-β is computed as exp(−β·lnt), and
+	// −lnt is the power's log-derivative in β.
+	lnt []float64
 	// Per-(period,type) power tables (dt+1)^-β for dt = 1..n−1, cached
-	// keyed by the exact bits of β: the numeric Jacobian perturbs one
-	// parameter per call, so at most one row is rebuilt per evaluation.
+	// keyed by the exact bits of β: an evaluation at the point the
+	// Jacobian was just taken at (or vice versa) rebuilds nothing.
 	powBits []uint64  // cached Float64bits(β) per (i,j); ^0 = empty
 	pow     []float64 // [(i*Types+j)*(n-1) + (dt-1)]
-	cnorm   []float64 // per (i,j): C(β) = 1/(maxReward·Σ_t (dt+1)^-β)
+	cnorm   []float64 // per (i,j): C(β) = 1/(maxReward·S), S = Σ_dt (dt+1)^-β
+	dlogc   []float64 // per (i,j): ∂ln C/∂β = L/S, L = Σ_dt ln(dt+1)·(dt+1)^-β
 	alpha   []float64 // per (i,j): row-normalized mixing proportion
+	asum    []float64 // per period: Σ_j raw α (0 when the row fell back to uniform)
 	tacc    []float64 // per period: net-flow accumulator
+	grow    []float64 // per type: one Jacobian row of a period's α columns
 }
 
 func newStreamResid(m *Model) *streamResid {
 	n, mt := m.Periods, m.Types
 	r := &streamResid{
 		m:       m,
+		lnt:     make([]float64, n-1),
 		powBits: make([]uint64, n*mt),
 		pow:     make([]float64, n*mt*(n-1)),
 		cnorm:   make([]float64, n*mt),
+		dlogc:   make([]float64, n*mt),
 		alpha:   make([]float64, n*mt),
+		asum:    make([]float64, n),
 		tacc:    make([]float64, n),
+		grow:    make([]float64, mt),
+	}
+	for dt := 1; dt <= n-1; dt++ {
+		r.lnt[dt-1] = math.Log(float64(dt + 1))
 	}
 	for k := range r.powBits {
 		r.powBits[k] = ^uint64(0)
@@ -345,14 +359,17 @@ func newStreamResid(m *Model) *streamResid {
 // bind points the evaluator at the window for the duration of one solve.
 func (r *streamResid) bind(obs []Observation) { r.obs = obs }
 
-// eval computes out[s*n+i] = predictedT[i] − obs[s].T[i] for every
-// windowed day s, matching Fit's residual layout.
-func (r *streamResid) eval(x, out []float64) {
+// residuals adapts the evaluator to the LM solver over the bound window.
+func (r *streamResid) residuals() optimize.FuncResiduals {
+	return optimize.FuncResiduals{N: len(r.obs) * r.m.Periods, Fn: r.eval, Jac: r.jac}
+}
+
+// refresh brings the β-dependent power tables and the row-normalized
+// alphas up to date with x. The tables are bit-keyed on β, so unchanged
+// parameters cost one integer compare.
+func (r *streamResid) refresh(x []float64) {
 	m := r.m
 	n, mt := m.Periods, m.Types
-
-	// Refresh the per-(i,j) β-dependent tables; bit-keyed so unchanged
-	// parameters cost one integer compare.
 	for i := 0; i < n; i++ {
 		for j := 0; j < mt; j++ {
 			k := i*mt + j
@@ -363,13 +380,15 @@ func (r *streamResid) eval(x, out []float64) {
 			}
 			r.powBits[k] = bits
 			row := r.pow[k*(n-1) : (k+1)*(n-1)]
-			var s float64
-			for dt := 1; dt <= n-1; dt++ {
-				v := math.Pow(float64(dt+1), -beta)
-				row[dt-1] = v
+			var s, l float64
+			for d, lt := range r.lnt {
+				v := math.Exp(-beta * lt)
+				row[d] = v
 				s += v
+				l += lt * v
 			}
 			r.cnorm[k] = 1 / (m.MaxReward * s)
+			r.dlogc[k] = l / s
 		}
 	}
 	// Row-normalize the raw alphas exactly as unpack does.
@@ -384,19 +403,26 @@ func (r *streamResid) eval(x, out []float64) {
 			for j := 0; j < mt; j++ {
 				r.alpha[i*mt+j] = 1 / float64(mt)
 			}
+			r.asum[i] = 0
 			continue
 		}
+		r.asum[i] = s
 		inv := 1 / s
 		for j := 0; j < mt; j++ {
 			r.alpha[i*mt+j] *= inv
 		}
 	}
+}
 
+// eval computes out[s*n+i] = predictedT[i] − obs[s].T[i] for every
+// windowed day s, matching Fit's residual layout.
+func (r *streamResid) eval(x, out []float64) {
+	r.refresh(x)
+	m := r.m
+	n, mt := m.Periods, m.Types
 	for s, o := range r.obs {
 		tacc := r.tacc
-		for i := range tacc {
-			tacc[i] = 0
-		}
+		clear(tacc)
 		p := o.Rewards
 		for i := 0; i < n; i++ {
 			xi := m.BaselineTIP[i]
@@ -422,6 +448,98 @@ func (r *streamResid) eval(x, out []float64) {
 		base := s * n
 		for i := 0; i < n; i++ {
 			out[base+i] = tacc[i] - o.T[i]
+		}
+	}
+}
+
+// jac writes the Jacobian of eval at x in the solver's column-major
+// layout, jac[col*rows + s*n + i], in one pass over the flows. Every flow
+// term q = coef·p·(dt+1)^−β with coef = X_i·ā·C(β) leaves period i and
+// enters period (i+dt) mod n, so its parameter derivatives land on those
+// two rows with opposite signs:
+//
+//   - β: ∂q/∂β = q·(L/S − ln(dt+1)), C(β) contributing L/S.
+//   - raw α_l of the same period: the normalization ā_j = a_j/Σa gives
+//     ∂ā_j/∂a_l = (δ_jl − ā_j)/Σa, so column α_l is (G_l − F)/Σa, where
+//     G_l holds type l's flows per unit ā and F = Σ_j ā_j·G_j is the
+//     period's total flow. With one type G = F: the α columns are
+//     identically zero (the proportion is pinned to 1), are not even
+//     written, and the solver drops them.
+//
+// β below 0 is clamped by eval and α below 0 likewise, so those columns
+// are zero there; at exactly 0 the right derivative is written, matching
+// the box the solver keeps x in.
+func (r *streamResid) jac(x, jac []float64) {
+	r.refresh(x)
+	clear(jac)
+	m := r.m
+	n, mt := m.Periods, m.Types
+	rows := len(r.obs) * n
+	for s, o := range r.obs {
+		p := o.Rewards
+		base := s * n
+		day := func(c int) []float64 { return jac[c*rows+base : c*rows+base+n] } // column c's rows of day s
+		for i := 0; i < n; i++ {
+			xi := m.BaselineTIP[i]
+			for j := 0; j < mt; j++ {
+				k := i*mt + j
+				a := r.alpha[k]
+				var colB, colA []float64
+				if a != 0 && x[m.betaIdx(i, j)] >= 0 {
+					colB = day(m.betaIdx(i, j))
+				}
+				if mt > 1 && r.asum[i] > 0 {
+					// G_j/Σa for now; the normalization is folded in below.
+					colA = day(m.alphaIdx(i, j))
+				}
+				if colB == nil && colA == nil {
+					continue
+				}
+				coef := xi * a * r.cnorm[k]
+				perA := xi * r.cnorm[k] / r.asum[i]
+				row := r.pow[k*(n-1) : (k+1)*(n-1)]
+				dlogc := r.dlogc[k]
+				for dt := 1; dt <= n-1; dt++ {
+					to := (i + dt) % n
+					pk := p[to]
+					if pk <= 0 {
+						continue
+					}
+					if colB != nil {
+						dq := coef * pk * row[dt-1] * (dlogc - r.lnt[dt-1])
+						colB[i] += dq
+						colB[to] -= dq
+					}
+					if colA != nil {
+						g := perA * pk * row[dt-1]
+						colA[i] += g
+						colA[to] -= g
+					}
+				}
+			}
+			if mt == 1 || r.asum[i] <= 0 {
+				continue
+			}
+			// Fold in the normalization: column α_l becomes
+			// Σ_j ā_j·(G_l − G_j)/Σa, which equals (G_l − F)/Σa since
+			// Σ_j ā_j = 1, but is exactly 0 wherever types share a β
+			// (as at the uniform cold start) instead of rounding noise
+			// that Marquardt's column scaling would blow up into a step.
+			g := r.grow
+			for t := 0; t < n; t++ {
+				for j := 0; j < mt; j++ {
+					g[j] = day(m.alphaIdx(i, j))[t]
+				}
+				for l := 0; l < mt; l++ {
+					var v float64
+					if x[m.alphaIdx(i, l)] >= 0 {
+						for j, a := range r.alpha[i*mt : (i+1)*mt] {
+							v += a * (g[l] - g[j])
+						}
+					}
+					day(m.alphaIdx(i, l))[t] = v
+				}
+			}
 		}
 	}
 }

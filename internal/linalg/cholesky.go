@@ -22,24 +22,12 @@ func FactorCholesky(a *Matrix) (*Cholesky, error) {
 	if n != a.Cols() {
 		return nil, fmt.Errorf("cholesky of %dx%d: %w", a.Rows(), a.Cols(), ErrDimension)
 	}
-	l := NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			d -= l.At(j, k) * l.At(j, k)
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("pivot %d = %v: %w", j, d, ErrSingular)
-		}
-		root := math.Sqrt(d)
-		l.Set(j, j, root)
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			l.Set(i, j, s/root)
-		}
+	l := a.Clone()
+	if err := CholeskyInPlace(l.data, n); err != nil {
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		clear(l.data[i*n+i+1 : (i+1)*n])
 	}
 	return &Cholesky{l: l}, nil
 }
@@ -50,24 +38,8 @@ func (c *Cholesky) Solve(b Vector) (Vector, error) {
 	if len(b) != n {
 		return nil, fmt.Errorf("cholesky solve rhs %d, want %d: %w", len(b), n, ErrDimension)
 	}
-	// L·y = b.
-	y := make(Vector, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= c.l.At(i, k) * y[k]
-		}
-		y[i] = s / c.l.At(i, i)
-	}
-	// Lᵀ·x = y.
-	x := make(Vector, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= c.l.At(k, i) * x[k]
-		}
-		x[i] = s / c.l.At(i, i)
-	}
+	x := append(Vector(nil), b...)
+	CholeskySolveInPlace(c.l.data, n, x)
 	return x, nil
 }
 
@@ -79,4 +51,54 @@ func SolveSPD(a *Matrix, b Vector) (Vector, error) {
 		return nil, err
 	}
 	return f.Solve(b)
+}
+
+// CholeskyInPlace is the allocation-free kernel under FactorCholesky: it
+// overwrites the lower triangle of the n×n row-major matrix a with L,
+// A = L·Lᵀ, reading only that triangle and leaving the strict upper one
+// untouched. It returns ErrSingular if a is not (numerically) positive
+// definite, in which case a's lower triangle is partially overwritten.
+func CholeskyInPlace(a []float64, n int) error {
+	for j := 0; j < n; j++ {
+		rj := a[j*n : j*n+j]
+		d := a[j*n+j]
+		for _, v := range rj {
+			d -= v * v
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return fmt.Errorf("pivot %d = %v: %w", j, d, ErrSingular)
+		}
+		root := math.Sqrt(d)
+		a[j*n+j] = root
+		for i := j + 1; i < n; i++ {
+			ri := a[i*n : i*n+j]
+			s := a[i*n+j]
+			for k, v := range ri {
+				s -= v * rj[k]
+			}
+			a[i*n+j] = s / root
+		}
+	}
+	return nil
+}
+
+// CholeskySolveInPlace solves L·Lᵀ·x = b for a factor produced by
+// CholeskyInPlace (only its lower triangle is read), overwriting b with x.
+func CholeskySolveInPlace(l []float64, n int, b []float64) {
+	// L·y = b.
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for k, v := range l[i*n : i*n+i] {
+			s -= v * b[k]
+		}
+		b[i] = s / l[i*n+i]
+	}
+	// Lᵀ·x = y.
+	for i := n - 1; i >= 0; i-- {
+		s := b[i]
+		for k := i + 1; k < n; k++ {
+			s -= l[k*n+i] * b[k]
+		}
+		b[i] = s / l[i*n+i]
+	}
 }

@@ -400,3 +400,40 @@ func TestObservationShiftsRebateAndReverse(t *testing.T) {
 		}
 	}
 }
+
+// TestOverflowCountIgnoresSolverRoundoff: a period at capacity counts
+// the same whether the solver's last step left it 1e-9 (relative) above
+// or below, while the overflow volume stays the exact excess.
+func TestOverflowCountIgnoresSolverRoundoff(t *testing.T) {
+	scn := testScenario()
+	p, err := New("tdp", Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := PlanAndEvaluate(p, scn, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, n := overflow(out.Usage, scn.Capacity); n != out.OverflowPeriods {
+		t.Fatalf("overflow count %d, Evaluate reported %d", n, out.OverflowPeriods)
+	}
+	for _, rel := range []float64{-1e-9, 1e-9} {
+		usage := append([]float64(nil), out.Usage...)
+		for i := range usage {
+			usage[i] *= 1 + rel
+		}
+		if _, n := overflow(usage, scn.Capacity); n != out.OverflowPeriods {
+			t.Errorf("usage scaled by 1%+g: %d periods over capacity, want %d", rel, n, out.OverflowPeriods)
+		}
+	}
+
+	capacity := []float64{18, 18, 18, 0}
+	usage := []float64{18 * (1 + 1e-9), 18 * (1 - 1e-9), 18 * (1 + 1e-3), 0.5}
+	vol, n := overflow(usage, capacity)
+	if n != 2 {
+		t.Errorf("%d periods counted, want 2 (the 1e-3 excess and the zero-capacity period)", n)
+	}
+	if want := (usage[0] - 18) + (usage[2] - 18) + 0.5; vol != want {
+		t.Errorf("overflow volume %v, want the exact excess %v", vol, want)
+	}
+}

@@ -13,18 +13,26 @@ import (
 var ErrLMStalled = errors.New("optimize: levenberg-marquardt stalled")
 
 // Residualer produces the residual vector r(x) whose squared norm is
-// minimized: min_x ‖r(x)‖².
+// minimized, min_x ‖r(x)‖², together with its Jacobian.
 type Residualer interface {
 	// Residuals writes r(x) into out (len(out) == NumResiduals()).
 	Residuals(x, out []float64)
+	// Jacobian writes ∂r_i/∂x_j at x into jac[j*NumResiduals()+i]:
+	// column-major, one contiguous column per parameter, so the normal
+	// equations are dot products of contiguous columns. Every entry must
+	// be written; an all-zero column marks a parameter the residual does
+	// not depend on at x, and LM leaves it where it is.
+	Jacobian(x, jac []float64)
 	// NumResiduals reports the length of the residual vector.
 	NumResiduals() int
 }
 
-// FuncResiduals adapts a plain function to the Residualer interface.
+// FuncResiduals adapts a residual function and its Jacobian (laid out
+// as Residualer.Jacobian) to the Residualer interface.
 type FuncResiduals struct {
-	N  int
-	Fn func(x, out []float64)
+	N   int
+	Fn  func(x, out []float64)
+	Jac func(x, jac []float64)
 }
 
 // NumResiduals implements Residualer.
@@ -32,6 +40,9 @@ func (f FuncResiduals) NumResiduals() int { return f.N }
 
 // Residuals implements Residualer.
 func (f FuncResiduals) Residuals(x, out []float64) { f.Fn(x, out) }
+
+// Jacobian implements Residualer.
+func (f FuncResiduals) Jacobian(x, jac []float64) { f.Jac(x, jac) }
 
 // LMConfig tunes LevenbergMarquardt.
 type LMConfig struct {
@@ -78,6 +89,8 @@ func levenbergMarquardt(r Residualer, x0 []float64, cfg LMConfig) (LMResult, err
 		}
 	}
 
+	// Every buffer is allocated once per solve; the iterations allocate
+	// nothing, bar solveDamped's rare LU fallback.
 	x := append([]float64(nil), x0...)
 	if cfg.Bounds != nil {
 		cfg.Bounds.Project(x)
@@ -86,50 +99,66 @@ func levenbergMarquardt(r Residualer, x0 []float64, cfg LMConfig) (LMResult, err
 	r.Residuals(x, res)
 	rss := sumSquares(res)
 
-	mu := cfg.InitialMu
-	jac := linalg.NewMatrix(m, n)
-	trial := make([]float64, n)
-	tres := make([]float64, m)
-
 	if cfg.AbsTol > 0 && rss <= cfg.AbsTol {
 		return LMResult{X: x, RSS: rss, Iterations: 0, Converged: true}, nil
 	}
 
-	for iter := 0; iter < cfg.MaxIter; iter++ {
-		numJacobian(r, x, res, jac)
+	mu := cfg.InitialMu
+	trial := make([]float64, n)
+	tres := make([]float64, m)
+	jac := make([]float64, m*n) // column-major, as Residualer.Jacobian
+	cols := make([]int, 0, n)   // parameters with a nonzero Jacobian column
+	jtj := make([]float64, n*n) // k×k over cols, row-major
+	jtr := make([]float64, n)
+	a := make([]float64, n*n)
+	delta := make([]float64, n)
 
-		// Normal equations: (JᵀJ + μ·diag(JᵀJ))·δ = -Jᵀr.
-		jtj, err := jac.Transpose().Mul(jac)
-		if err != nil {
-			return LMResult{X: x, RSS: rss, Iterations: iter}, err
+	for iter := 0; iter < cfg.MaxIter; iter++ {
+		r.Jacobian(x, jac)
+
+		// Normal equations (JᵀJ + μ·diag(JᵀJ))·δ = −Jᵀr, over J's nonzero
+		// columns only: a zero column's damped equation is μ·δ_j = 0, so
+		// its step is exactly 0 and dropping it changes nothing.
+		cols = cols[:0]
+		for j := 0; j < n; j++ {
+			for _, v := range jac[j*m : (j+1)*m] {
+				if v != 0 {
+					cols = append(cols, j)
+					break
+				}
+			}
 		}
-		jtr, err := jac.TransMulVec(linalg.Vector(res))
-		if err != nil {
-			return LMResult{X: x, RSS: rss, Iterations: iter}, err
+		k := len(cols)
+		for p, cp := range cols {
+			colP := jac[cp*m : (cp+1)*m]
+			for q := 0; q <= p; q++ {
+				colQ := jac[cols[q]*m : (cols[q]+1)*m]
+				var s float64
+				for i, v := range colP {
+					s += v * colQ[i]
+				}
+				jtj[p*k+q] = s
+				jtj[q*k+p] = s
+			}
+			var s float64
+			for i, v := range colP {
+				s += v * res[i]
+			}
+			jtr[p] = s
 		}
 
 		improved := false
 		for attempt := 0; attempt < 30; attempt++ {
-			a := jtj.Clone()
-			for i := 0; i < n; i++ {
-				d := a.At(i, i)
-				if d == 0 {
-					d = 1
-				}
-				a.Set(i, i, a.At(i, i)+mu*d)
+			for p := 0; p < k; p++ {
+				delta[p] = -jtr[p]
 			}
-			// The damped normal matrix is SPD by construction; Cholesky is
-			// the natural solve, with LU as a roundoff fallback.
-			delta, err := linalg.SolveSPD(a, jtr.Scale(-1))
-			if err != nil {
-				delta, err = linalg.SolveLinear(a, jtr.Scale(-1))
-			}
-			if err != nil {
+			if !solveDamped(a, jtj, k, mu, delta[:k]) {
 				mu *= 10
 				continue
 			}
-			for i := range x {
-				trial[i] = x[i] + delta[i]
+			copy(trial, x)
+			for p, cp := range cols {
+				trial[cp] += delta[p]
 			}
 			if cfg.Bounds != nil {
 				cfg.Bounds.Project(trial)
@@ -160,20 +189,42 @@ func levenbergMarquardt(r Residualer, x0 []float64, cfg LMConfig) (LMResult, err
 	return LMResult{X: x, RSS: rss, Iterations: cfg.MaxIter}, ErrMaxIterations
 }
 
-// numJacobian fills jac with the forward-difference Jacobian of r at x,
-// reusing the residual at x.
-func numJacobian(r Residualer, x, res []float64, jac *linalg.Matrix) {
-	m, n := jac.Rows(), jac.Cols()
-	pert := make([]float64, m)
-	xp := append([]float64(nil), x...)
-	for j := 0; j < n; j++ {
-		step := 1e-7 * (1 + math.Abs(x[j]))
-		xp[j] = x[j] + step
-		r.Residuals(xp, pert)
-		xp[j] = x[j]
-		for i := 0; i < m; i++ {
-			jac.Set(i, j, (pert[i]-res[i])/step)
+// solveDamped overwrites rhs with the solution of the damped normal
+// equations (JᵀJ + μ·diag(JᵀJ))·δ = rhs over the k×k jtj, using a as
+// scratch. The damped matrix is SPD by construction, so Cholesky is the
+// natural solve; LU (which allocates) is the rare roundoff fallback. It
+// reports false when neither solve succeeds.
+func solveDamped(a, jtj []float64, k int, mu float64, rhs []float64) bool {
+	damp(a, jtj, k, mu)
+	if linalg.CholeskyInPlace(a, k) == nil {
+		linalg.CholeskySolveInPlace(a, k, rhs)
+		return true
+	}
+	damp(a, jtj, k, mu)
+	dense := linalg.NewMatrix(k, k)
+	for p := 0; p < k; p++ {
+		for q := 0; q < k; q++ {
+			dense.Set(p, q, a[p*k+q])
 		}
+	}
+	x, err := linalg.SolveLinear(dense, linalg.Vector(rhs))
+	if err != nil {
+		return false
+	}
+	copy(rhs, x)
+	return true
+}
+
+// damp writes JᵀJ + μ·diag(JᵀJ) into dst, damping a zero diagonal entry
+// by μ instead.
+func damp(dst, jtj []float64, k int, mu float64) {
+	copy(dst, jtj[:k*k])
+	for p := 0; p < k; p++ {
+		d := dst[p*k+p]
+		if d == 0 {
+			d = 1
+		}
+		dst[p*k+p] += mu * d
 	}
 }
 

@@ -110,8 +110,8 @@ func ProjectedSubgradient(obj Objective, x0 []float64, b Bounds, opts ...Option)
 }
 
 // LevenbergMarquardt minimizes ‖r(x)‖² with a damped Gauss–Newton
-// iteration and a central-difference Jacobian. Optional box constraints
-// are handled by projecting trial steps.
+// iteration on the Jacobian the Residualer supplies. Optional box
+// constraints are handled by projecting trial steps.
 func LevenbergMarquardt(r Residualer, x0 []float64, cfg LMConfig) (LMResult, error) {
 	res, err := levenbergMarquardt(r, x0, cfg)
 	RecordSolve("lm", res.Iterations, res.Iterations, res.RSS, res.Converged)

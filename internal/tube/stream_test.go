@@ -125,6 +125,96 @@ func TestStreamProfilerQuiescedReuse(t *testing.T) {
 	}
 }
 
+// TestStreamProfilerReuseSkipsFitters: on an unchanged window (the 47
+// mid-day closes of a 48-period day) Refine hands back the cached
+// estimate — same betas, iterations and RSS — without re-reducing
+// cloned fits, and still counts mode="reused". A Divergence call on a
+// changed window refits through the same path, so the next Refine
+// returns the new fits' reduction instead of stale betas.
+func TestStreamProfilerReuseSkipsFitters(t *testing.T) {
+	scn := testScenario()
+	truth, err := NewClassProfilerTruth(t)
+	if err != nil {
+		t.Fatalf("truth: %v", err)
+	}
+	newProfiler := func() *StreamProfiler {
+		sp, err := NewStreamProfiler(scn.Demand, scn.NormReward(), StreamConfig{Window: 1})
+		if err != nil {
+			t.Fatalf("NewStreamProfiler: %v", err)
+		}
+		return sp
+	}
+	fold := func(sp *StreamProfiler, d, from, to int) {
+		rewards := streamDayRewards(scn.Periods, d)
+		usage := truth(rewards)
+		for i := from; i < to; i++ {
+			if _, err := sp.FoldPeriod(i, rewards[i], usage[i]); err != nil {
+				t.Fatalf("day %d period %d: %v", d, i, err)
+			}
+		}
+	}
+	sp := newProfiler()
+	reg := obs.NewRegistry()
+	sp.Instrument(reg)
+	reused := reg.Counter("stream_refines_total", "", obs.Labels{"mode": "reused"})
+	fold(sp, 0, 0, scn.Periods)
+	first, err := sp.Refine()
+	if err != nil {
+		t.Fatalf("Refine: %v", err)
+	}
+	fold(sp, 1, 0, scn.Periods-1) // mid-day: the window is unchanged
+	again, err := sp.Refine()
+	if err != nil {
+		t.Fatalf("Refine: %v", err)
+	}
+	if !again.Reused || !again.Warm || again.Iterations != first.Iterations || again.RSS != first.RSS {
+		t.Errorf("unchanged window: %+v, want the cached %+v marked reused", again, first)
+	}
+	for j := range first.Betas {
+		if again.Betas[j] != first.Betas[j] {
+			t.Errorf("class %d beta %v, cached %v", j, again.Betas[j], first.Betas[j])
+		}
+	}
+	again.Betas[0] = -1 // the caller's copy must not alias the cache
+	if b, _ := sp.Betas(); b[0] == -1 {
+		t.Error("reused estimate aliases the cached betas")
+	}
+	if got := reused.Value(); got != 1 {
+		t.Errorf("reused refines counted %d, want 1", got)
+	}
+	if !raceEnabled {
+		if a := testing.AllocsPerRun(10, func() { _, _ = sp.Refine() }); a > 2 {
+			t.Errorf("reused Refine allocates %v times, want ≤ 2 (the estimate and its betas)", a)
+		}
+	}
+
+	// Divergence refits the fitters on the completed day; the next
+	// Refine must return those fits' reduction.
+	fold(sp, 1, scn.Periods-1, scn.Periods)
+	if _, err := sp.Divergence(); err != nil {
+		t.Fatalf("Divergence: %v", err)
+	}
+	after, err := sp.Refine()
+	if err != nil {
+		t.Fatalf("Refine: %v", err)
+	}
+	twin := newProfiler()
+	fold(twin, 0, 0, scn.Periods)
+	if _, err := twin.Refine(); err != nil {
+		t.Fatalf("twin Refine: %v", err)
+	}
+	fold(twin, 1, 0, scn.Periods)
+	want, err := twin.Refine()
+	if err != nil {
+		t.Fatalf("twin Refine: %v", err)
+	}
+	for j := range want.Betas {
+		if after.Betas[j] != want.Betas[j] {
+			t.Errorf("after Divergence class %d beta %v, want the refit's %v", j, after.Betas[j], want.Betas[j])
+		}
+	}
+}
+
 // TestStreamProfilerValidation covers the lockstep-preserving error
 // paths and the empty-window refine.
 func TestStreamProfilerValidation(t *testing.T) {
